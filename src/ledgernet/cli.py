@@ -164,7 +164,8 @@ def _build_parser() -> _Parser:
                    help="graph file format (default: from file suffix)")
     p.add_argument("--workers", type=int, default=None, metavar="N")
     p.add_argument("--sample-sources", type=int, default=None, metavar="K",
-                   help="estimate path lengths from K BFS sources instead of all")
+                   help="estimate path lengths from K >= 1 BFS sources "
+                        "instead of all")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="seed for sampled path lengths")
     p.add_argument("--output", metavar="PATH",
@@ -435,6 +436,8 @@ def cmd_analyze(args) -> int:
     if _skip_existing(output, args.force):
         return 0
     worker_count = _workers(args.workers)
+    if args.sample_sources is not None and args.sample_sources < 1:
+        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
     report = analyze(graph, worker_count,
                      sample_sources=args.sample_sources, seed=args.seed)
@@ -467,6 +470,8 @@ def cmd_compare(args) -> int:
     worker_count = _workers(args.workers)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.sample_sources is not None and args.sample_sources < 1:
+        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
     comparison = compare(graph, seed=args.seed, samples=args.samples,
                          worker_count=worker_count,

@@ -13,7 +13,6 @@ from .download import (
     DownloadSummary,
     DownloadTask,
     RetryPolicy,
-    TaskState,
     TimeInterval,
     call_with_retry,
     fetch_block_transactions,
@@ -40,7 +39,6 @@ __all__ = [
     "EthereumRpcProvider",
     "FixtureProvider",
     "RetryPolicy",
-    "TaskState",
     "ThrottledProvider",
     "TimeInterval",
     "TokenBucket",

@@ -43,9 +43,6 @@ class Checkpoint:
     def planned_firsts(self) -> range:
         return range(self.first, self.last + 1, self.chunk_size)
 
-    def chunk_span(self, chunk_first: int) -> tuple[int, int]:
-        return chunk_first, min(chunk_first + self.chunk_size - 1, self.last)
-
     @property
     def is_complete(self) -> bool:
         return len(self.done) == len(self.planned_firsts())

@@ -21,7 +21,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -62,13 +61,6 @@ class BlockRange:
         return self.last - self.first + 1
 
 
-class TaskState(str, Enum):
-    PENDING = "pending"
-    IN_FLIGHT = "in_flight"
-    DONE = "done"
-    FAILED = "failed"
-
-
 @dataclass
 class DownloadTask:
     """One chunk of contiguous blocks to fetch."""
@@ -76,7 +68,6 @@ class DownloadTask:
     first: int
     last: int
     attempt_count: int = 0
-    state: TaskState = TaskState.PENDING
 
 
 @dataclass(frozen=True)
@@ -245,19 +236,14 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
     def fetch_chunk(task: DownloadTask):
         if stop_event.is_set():
             return task, None, 0, 0
-        task.state = TaskState.IN_FLIGHT
         transactions: list[Transaction] = []
         blocks = 0
-        try:
-            for height in range(task.first, task.last + 1):
-                transactions.extend(fetch_block_transactions(
-                    provider, height, retry_policy, task=task))
-                blocks += 1
-            temp = chunk_dir / f".tmp-{chunk_filename(task.first, task.last)}"
-            lines = write_chunk(temp, transactions)
-        except BaseException:
-            task.state = TaskState.FAILED
-            raise
+        for height in range(task.first, task.last + 1):
+            transactions.extend(fetch_block_transactions(
+                provider, height, retry_policy, task=task))
+            blocks += 1
+        temp = chunk_dir / f".tmp-{chunk_filename(task.first, task.last)}"
+        lines = write_chunk(temp, transactions)
         return task, temp, blocks, lines
 
     failure: BaseException | None = None
@@ -275,7 +261,6 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
                 summary.chunks_skipped += 1
                 continue
             os.replace(temp, chunk_dir / chunk_filename(task.first, task.last))
-            task.state = TaskState.DONE
             checkpoint.mark_done(task.first)
             checkpoint.save(checkpoint_path)
             summary.chunks_completed += 1

@@ -21,11 +21,21 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from ..errors import ProviderError
 from ..graph import Chain, Transaction, canonicalize_address
+
+if TYPE_CHECKING:
+    import requests
+
+
+def _requests():
+    """``requests``, imported on first use: loading it costs more than the
+    rest of the CLI's start-up, and only network downloads need it."""
+    import requests
+
+    return requests
 
 
 class BlockProvider(ABC):
@@ -180,9 +190,10 @@ class EthereumRpcProvider(BlockProvider):
     def __init__(self, endpoint: str, api_key: str | None = None,
                  session: requests.Session | None = None, timeout: float = 30.0):
         self.url = endpoint.rstrip("/")
+        self._api_key = api_key
         if api_key:
             self.url = f"{self.url}/{api_key}"
-        self.session = session or requests.Session()
+        self.session = session or _requests().Session()
         self.timeout = timeout
         self._id_lock = threading.Lock()
         self._next_id = 0
@@ -195,8 +206,12 @@ class EthereumRpcProvider(BlockProvider):
                 "method": method, "params": params}
         try:
             response = self.session.post(self.url, json=body, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ProviderError(f"{method} failed: {exc}") from exc
+        except _requests().RequestException as exc:
+            # requests quotes the URL, key included, in the exception text
+            message = str(exc)
+            if self._api_key:
+                message = message.replace(self._api_key, "REDACTED")
+            raise ProviderError(f"{method} failed: {message}") from None
         if response.status_code != 200:
             raise ProviderError(f"{method} returned HTTP {response.status_code}")
         try:
@@ -270,14 +285,14 @@ class BitcoinApiProvider(BlockProvider):
     def __init__(self, endpoint: str = "https://blockchain.info",
                  session: requests.Session | None = None, timeout: float = 60.0):
         self.url = endpoint.rstrip("/")
-        self.session = session or requests.Session()
+        self.session = session or _requests().Session()
         self.timeout = timeout
 
     def _get(self, path: str):
         url = f"{self.url}{path}"
         try:
             response = self.session.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
+        except _requests().RequestException as exc:
             raise ProviderError(f"GET {path} failed: {exc}") from exc
         if response.status_code != 200:
             raise ProviderError(f"GET {path} returned HTTP {response.status_code}")

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+import requests
 
 from conftest import make_fixture
 from ledgernet import __version__, cli
@@ -147,6 +150,24 @@ class TestDownload:
         assert "hunter2" not in text
         assert read_json(out / "download_summary.json")["config"]["api_key"] == \
             "REDACTED"
+
+    def test_api_key_stays_out_of_provider_errors(self, tmp_path, capsys,
+                                                  monkeypatch):
+        class RefusingSession:
+            def post(self, url, json=None, timeout=None):
+                raise requests.ConnectionError(
+                    f"Max retries exceeded with url: {url}")
+
+        monkeypatch.setattr(requests, "Session", RefusingSession)
+        code = run_cli("download", "--chain", "ethereum",
+                       "--endpoint", "https://rpc.example/v3",
+                       "--api-key", "SECRETKEY123", "--from-block", 0,
+                       "--to-block", 0, "--retry-cap", 1, "--rate-limit", 0,
+                       "--output-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eth_getBlockByNumber failed" in err
+        assert "SECRETKEY123" not in err
 
     def test_flag_beats_env_beats_config_file(self, fixture_dir, tmp_path,
                                               monkeypatch):
@@ -301,6 +322,17 @@ class TestAnalyze:
         assert doc["aspl_sample_sources"] == 2
         assert doc["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_sample_sources_below_one_is_a_usage_error(self, built, capsys,
+                                                       command, bad):
+        output = built / "report_bad.json"
+        assert run_cli(command, "--graph", built / "graph.json",
+                       "--sample-sources", bad, "--output", output) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --sample-sources must be >= 1, got {bad}\n"
+        assert not output.exists()
+
 
 class TestCompare:
     def test_comparison_document(self, built):
@@ -387,6 +419,16 @@ class TestEntryPoints:
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert "usage:" in result.stdout
+
+    def test_importing_the_cli_does_not_load_requests(self):
+        import ledgernet
+
+        src = str(Path(ledgernet.__file__).parent.parent)
+        code = "import sys, ledgernet.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.strip() == "False", result.stderr
 
 
 class TestInterrupt:

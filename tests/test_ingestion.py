@@ -617,6 +617,21 @@ class TestEthereumRpcProvider:
             self.provider(script).latest_height()
         assert not info.value.permanent
 
+    def test_network_error_does_not_leak_api_key(self):
+        class RefusingSession:
+            def post(self, url, json=None, timeout=None):
+                # requests quotes the failing URL like this
+                raise requests.ConnectionError(
+                    f"Max retries exceeded with url: {url}")
+
+        provider = EthereumRpcProvider("https://rpc.example/v3", "SECRETKEY123",
+                                       session=RefusingSession())
+        with pytest.raises(ProviderError) as info:
+            provider.latest_height()
+        assert "SECRETKEY123" not in str(info.value)
+        assert "/v3/REDACTED" in str(info.value)
+        assert info.value.__cause__ is None
+
     def test_bad_hex_is_permanent(self):
         provider = self.provider(lambda url, body: FakeResponse({"result": "zz"}))
         with pytest.raises(ProviderError) as info:

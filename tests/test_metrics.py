@@ -17,7 +17,7 @@ from ledgernet import (
     degree_distributions,
     local_clustering,
 )
-from ledgernet.metrics import main_component_nodes
+from ledgernet import metrics
 
 import oracles
 
@@ -212,6 +212,61 @@ class TestAspl:
         # asking for at least as many sources as nodes falls back to exact
         assert aspl(g, nodes, sample_sources=len(nodes)) == exact
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_sample_sources_below_one_is_rejected(self, bad):
+        g = oracles.path_graph(4)
+        with pytest.raises(ValueError, match="sample_sources"):
+            aspl(g, [1, 2, 3, 4], sample_sources=bad)
+        with pytest.raises(ValueError, match="sample_sources"):
+            analyze(g, sample_sources=bad)
+
+
+def bfs_distance_sum(g, sources):
+    adj = oracles.adjacency(g)
+    return sum(sum(oracles.bfs_distances(adj, s).values()) for s in sources)
+
+
+class TestMultiSourceBfs:
+    """Batched BFS against one plain BFS per source, across batch edges."""
+
+    def test_distance_sum_matches_per_source_bfs(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BATCH_WIDTH", 7)
+        rng = random.Random(59)
+        for _ in range(8):
+            # sparse draws leave several components, so BFS from some sources
+            # never reaches most nodes
+            g = oracles.random_graph(rng, max_nodes=90)
+            sources = list(g.node_ids())
+            rng.shuffle(sources)
+            for width in (1, 7, 8, len(sources)):
+                batch = sources[:width]
+                assert metrics._distance_sum(g.adj, batch) == \
+                    bfs_distance_sum(g, batch)
+
+    def test_exact_and_sampled_aspl_match_oracle_across_batches(self,
+                                                                monkeypatch):
+        monkeypatch.setattr(metrics, "_BATCH_WIDTH", 7)
+        rng = random.Random(61)
+        for _ in range(6):
+            g = oracles.random_graph(rng, max_nodes=120)
+            nodes = sorted(oracles.main_component(g))
+            if len(nodes) < 2:
+                continue
+            assert aspl(g, nodes) == oracles.naive_aspl_bfs(g, nodes)
+            for k in (1, 7, 15):
+                if k >= len(nodes):
+                    continue
+                sources = random.Random(3).sample(nodes, k)
+                expected = bfs_distance_sum(g, sources) / (k * (len(nodes) - 1))
+                assert aspl(g, nodes, sample_sources=k, seed=3) == expected
+
+    def test_cycle_wider_than_one_batch_matches_closed_form(self):
+        # odd cycle C_n: every node sees distances 1..(n-1)/2 twice, so the
+        # mean is (n + 1) / 4
+        n = metrics._BATCH_WIDTH + 3
+        g = oracles.cycle_graph(n)
+        assert aspl(g, list(g.node_ids())) == (n + 1) / 4
+
 
 class TestAnalyze:
     def test_worker_count_does_not_change_the_report(self):
@@ -272,10 +327,6 @@ class TestAnalyze:
         assert left.components == right.components
         assert_close(left.graph_acc, right.graph_acc)
         assert_close(left.main_component_aspl, right.main_component_aspl)
-
-    def test_main_component_nodes_helper(self):
-        g = oracles.graph_from_edges(5, [(0, 1), (0, 2)])
-        assert main_component_nodes(g) == [1, 2, 3]
 
     def test_timings_are_recorded(self):
         report = analyze(oracles.path_graph(5))

@@ -9,6 +9,7 @@ the published reference values come from.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -69,8 +70,11 @@ class SmallWorldVerdict:
     baseline_aspl_stats: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "acc_ratio": self.acc_ratio,
+        """Strict JSON: an infinite ACC ratio is written as null plus
+        ``"acc_ratio_infinite": true``."""
+        infinite = math.isinf(self.acc_ratio)
+        doc = {
+            "acc_ratio": None if infinite else self.acc_ratio,
             "aspl_ratio": self.aspl_ratio,
             "acc_threshold": self.acc_threshold,
             "aspl_threshold": self.aspl_threshold,
@@ -78,6 +82,9 @@ class SmallWorldVerdict:
             "baseline_acc_stats": self.baseline_acc_stats,
             "baseline_aspl_stats": self.baseline_aspl_stats,
         }
+        if infinite:
+            doc["acc_ratio_infinite"] = True
+        return doc
 
 
 def _stats(values: list[float]) -> dict:

@@ -18,7 +18,6 @@ import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,9 +33,9 @@ from .formats import (
     import_graph,
     infer_format,
 )
-from .graph import Chain, build_graph
+from .graph import Chain
 from .ingestion.checkpoint import Checkpoint
-from .ingestion.chunks import iter_chunk_transactions, list_chunk_files
+from .ingestion.chunks import fold_chunks, list_chunk_files
 from .ingestion.download import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_SLACK,
@@ -249,7 +248,7 @@ def _write_json(path, doc) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -394,6 +393,7 @@ def cmd_build(args) -> int:
     checkpoint_path = (Path(args.checkpoint) if args.checkpoint
                        else out_dir / "checkpoint.json")
     chain = Chain(args.chain) if args.chain else None
+    checkpoint = None
     if checkpoint_path.exists():
         checkpoint = Checkpoint.load(checkpoint_path)
         if chain is None:
@@ -415,16 +415,11 @@ def cmd_build(args) -> int:
     if not targets:
         return 0
 
-    graph = build_graph(iter_chunk_transactions(chunk_dir, chain), chain)
+    graph = fold_chunks(chunk_dir, chain, checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(export_json if fmt == FORMAT_JSON else export_pajek, path)
-            for fmt, path in sorted(targets.items())]
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            list(pool.map(lambda job: job[0](graph, job[1]), jobs))
-    else:
-        jobs[0][0](graph, jobs[0][1])
-    written = ", ".join(str(path) for _, path in jobs)
+    for fmt, path in targets.items():
+        (export_json if fmt == FORMAT_JSON else export_pajek)(graph, path)
+    written = ", ".join(str(path) for path in targets.values())
     print(f"built {chain.value} graph: {graph.node_count} nodes, "
           f"{graph.edge_count} edges -> {written}")
     return 0
@@ -541,8 +536,10 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
         verdict = doc.get("verdict", {})
         answer = "small-world" if verdict.get("is_small_world") else "not small-world"
+        acc_ratio = ("inf" if verdict.get("acc_ratio_infinite")
+                     else verdict.get("acc_ratio"))
         print(f"comparison: {answer} "
-              f"(ACC ratio {verdict.get('acc_ratio')}, "
+              f"(ACC ratio {acc_ratio}, "
               f"ASPL ratio {verdict.get('aspl_ratio')})")
 
     if not found:

@@ -167,24 +167,28 @@ class InteractionGraph:
         data.tx_count += tx_count
 
     def add_transaction(self, tx: Transaction) -> None:
-        """Apply one transaction: register endpoints, update counters and edge.
+        """Apply one transaction (see ``add_transfer``)."""
+        self.add_transfer(None if tx.sender is None else tx.sender.key,
+                          tx.recipient.key, tx.amount)
+
+    def add_transfer(self, sender: str | None, recipient: str, amount: int) -> None:
+        """Apply one transfer between canonical keys: register endpoints,
+        update counters and edge.
 
         The sender is interned first, matching the sender-recipient reading
-        order of the raw triples.  Self-transfers and senderless transactions
+        order of the raw triples.  Self-transfers and senderless transfers
         register nodes and bump counters but contribute no edge, keeping the
         graph simple.
         """
-        if tx.sender is None:
-            recipient = self.intern_node(tx.recipient.key)
-            self.in_tx[recipient] += 1
+        if sender is None:
+            self.in_tx[self.intern_node(recipient)] += 1
             return
-        sender = self.intern_node(tx.sender.key)
-        recipient = self.intern_node(tx.recipient.key)
-        self.out_tx[sender] += 1
-        self.in_tx[recipient] += 1
-        if sender == recipient:
-            return
-        self.record_edge(sender, recipient, tx.amount, 1)
+        source = self.intern_node(sender)
+        target = self.intern_node(recipient)
+        self.out_tx[source] += 1
+        self.in_tx[target] += 1
+        if source != target:
+            self.record_edge(source, target, amount, 1)
 
     def node_keys(self) -> list[str]:
         """Canonical keys in ID order."""

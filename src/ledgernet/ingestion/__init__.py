@@ -5,6 +5,7 @@ from .chunks import (
     chunk_filename,
     decode_transaction,
     encode_transaction,
+    fold_chunks,
     iter_chunk_transactions,
     list_chunk_files,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "decode_transaction",
     "encode_transaction",
     "fetch_block_transactions",
+    "fold_chunks",
     "iter_chunk_transactions",
     "list_chunk_files",
     "plan_tasks",

@@ -17,11 +17,24 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..errors import ParseError
-from ..graph import Chain, Transaction, canonicalize_address
+from ..errors import CheckpointError, ParseError
+from ..graph import (
+    AddressKey,
+    Chain,
+    InteractionGraph,
+    Transaction,
+    canonicalize_address,
+)
+from .checkpoint import Checkpoint
 
 _CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
 _FIELDS = ("h", "t", "s", "r", "v")
+_FIELD_SET = frozenset(_FIELDS)
+# Keys that canonicalize_address returns unchanged, by chain.
+_CANONICAL_KEY = {
+    Chain.ETHEREUM: re.compile(r"0x[0-9a-f]{40}").fullmatch,
+    Chain.BITCOIN: re.compile(r"\S+").fullmatch,
+}
 
 
 def chunk_filename(first: int, last: int) -> str:
@@ -46,35 +59,57 @@ def encode_transaction(tx: Transaction) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def decode_transaction(line: str, chain: Chain | str, *,
-                       path=None, line_no: int | None = None) -> Transaction:
-    def bad(message: str) -> ParseError:
-        return ParseError(message, path=path, line=line_no)
+def _decode_record(line: str, chain: Chain | str, path,
+                   line_no: int | None) -> tuple[int, int, str | None, str, int]:
+    """The fields of one valid chunk line, in ``_FIELDS`` order, with
+    canonical address keys; a fault raises ParseError.
 
+    A key already in canonical shape is taken as it is; any other key goes
+    through ``canonicalize_address``, which canonicalizes or rejects it.
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
-    if not isinstance(record, dict) or sorted(record) != sorted(_FIELDS):
-        raise bad(f"transaction record must have exactly the fields {_FIELDS}")
-    height, timestamp, sender, recipient, amount = (record[f] for f in _FIELDS)
-    for label, value in (("h", height), ("t", timestamp), ("v", amount)):
-        if type(value) is not int:
-            raise bad(f"field {label!r} must be an integer, got {value!r}")
-    if sender is not None and not isinstance(sender, str):
-        raise bad(f"field 's' must be a string or null, got {sender!r}")
-    if not isinstance(recipient, str):
-        raise bad(f"field 'r' must be a string, got {recipient!r}")
     try:
-        return Transaction(
-            sender=None if sender is None else canonicalize_address(sender, chain),
-            recipient=canonicalize_address(recipient, chain),
-            amount=amount,
-            block_height=height,
-            timestamp=timestamp,
-        )
+        if not isinstance(record, dict) or record.keys() != _FIELD_SET:
+            raise ValueError(
+                f"transaction record must have exactly the fields {_FIELDS}")
+        height, timestamp, sender, recipient, amount = (
+            record["h"], record["t"], record["s"], record["r"], record["v"])
+        for label, value in (("h", height), ("t", timestamp), ("v", amount)):
+            if type(value) is not int:
+                raise ValueError(f"field {label!r} must be an integer, got {value!r}")
+        if sender is not None and not isinstance(sender, str):
+            raise ValueError(f"field 's' must be a string or null, got {sender!r}")
+        if not isinstance(recipient, str):
+            raise ValueError(f"field 'r' must be a string, got {recipient!r}")
+        canonical = _CANONICAL_KEY.get(chain)
+        if sender is not None and not (canonical and canonical(sender)):
+            sender = canonicalize_address(sender, chain).key
+        if not (canonical and canonical(recipient)):
+            recipient = canonicalize_address(recipient, chain).key
+        if amount < 0:
+            raise ValueError(f"negative amount: {amount}")
+        if height < 0:
+            raise ValueError(f"negative block height: {height}")
     except ValueError as exc:
-        raise bad(str(exc)) from exc
+        raise ParseError(str(exc), path=path, line=line_no) from exc
+    return height, timestamp, sender, recipient, amount
+
+
+def decode_transaction(line: str, chain: Chain | str, *,
+                       path=None, line_no: int | None = None) -> Transaction:
+    height, timestamp, sender, recipient, amount = _decode_record(
+        line, chain, path, line_no)
+    chain = Chain(chain)
+    return Transaction(
+        sender=None if sender is None else AddressKey(chain, sender),
+        recipient=AddressKey(chain, recipient),
+        amount=amount,
+        block_height=height,
+        timestamp=timestamp,
+    )
 
 
 def write_chunk(path, transactions: Iterable[Transaction]) -> int:
@@ -104,3 +139,43 @@ def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transacti
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
                     yield decode_transaction(line, chain, path=path, line_no=line_no)
+
+
+def fold_chunks(chunk_dir, chain: Chain | str,
+                checkpoint: Checkpoint | None = None) -> InteractionGraph:
+    """``build_graph(iter_chunk_transactions(chunk_dir, chain), chain)``
+    without ``Transaction`` objects, also rejecting a record outside its
+    file's block span.  With a checkpoint, every chunk file must be a chunk
+    of its plan and every done chunk must have its file; only done chunks
+    are folded.
+    """
+    files = list_chunk_files(chunk_dir)
+    if checkpoint is not None:
+        plan = {chunk_filename(first, min(first + checkpoint.chunk_size - 1,
+                                          checkpoint.last)): first in checkpoint.done
+                for first in checkpoint.planned_firsts()}
+        present = {path.name for path in files}
+        stray = [path for path in files if path.name not in plan]
+        missing = [name for name, done in plan.items() if done and name not in present]
+        if stray:
+            raise CheckpointError(f"{stray[0]} is not a chunk of the checkpoint's plan")
+        if missing:
+            raise CheckpointError(f"chunk {missing[0]} is marked done in the "
+                                  f"checkpoint but missing from {chunk_dir}")
+        files = [path for path in files if plan[path.name]]
+    chain = Chain(chain)
+    graph = InteractionGraph(chain)
+    add_transfer = graph.add_transfer
+    for path in files:
+        first, last = parse_chunk_filename(path.name)
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    height, _, sender, recipient, amount = _decode_record(
+                        line, chain, path, line_no)
+                    if not first <= height <= last:
+                        raise ParseError(f"block height {height} is outside the "
+                                         f"file's span {first}..{last}",
+                                         path=path, line=line_no)
+                    add_transfer(sender, recipient, amount)
+    return graph

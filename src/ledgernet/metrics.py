@@ -183,20 +183,32 @@ def local_clustering(graph: InteractionGraph, node: int) -> float:
     return 2.0 * links / (d * (d - 1))
 
 
+def _local_clusterings(graph: InteractionGraph, nodes: list[int],
+                       executor: ThreadPoolExecutor | None) -> list[float]:
+    def part(chunk: list[int]) -> list[float]:
+        return [local_clustering(graph, v) for v in chunk]
+
+    chunks = [nodes[i:i + _NODE_CHUNK] for i in range(0, len(nodes), _NODE_CHUNK)]
+    mapper = executor.map if executor is not None else map
+    return [value for values in mapper(part, chunks) for value in values]
+
+
+def _mean_clustering(values: list[float]) -> float:
+    """Mean of local clustering values.  The reduction is part of every
+    report's bits: ``math.fsum`` over each run of ``_NODE_CHUNK`` values,
+    then over those sums."""
+    if not values:
+        raise UndefinedMetricError("clustering is undefined on an empty node set")
+    return math.fsum(math.fsum(values[i:i + _NODE_CHUNK])
+                     for i in range(0, len(values), _NODE_CHUNK)) / len(values)
+
+
 def average_clustering(graph: InteractionGraph,
                        nodes: Sequence[int] | None = None, *,
                        executor: ThreadPoolExecutor | None = None) -> float:
     """Mean local clustering over ``nodes`` (default: every node)."""
     nodes = list(graph.node_ids()) if nodes is None else list(nodes)
-    if not nodes:
-        raise UndefinedMetricError("clustering is undefined on an empty node set")
-
-    def part(chunk: list[int]) -> float:
-        return math.fsum(local_clustering(graph, v) for v in chunk)
-
-    chunks = [nodes[i:i + _NODE_CHUNK] for i in range(0, len(nodes), _NODE_CHUNK)]
-    mapper = executor.map if executor is not None else map
-    return math.fsum(mapper(part, chunks)) / len(nodes)
+    return _mean_clustering(_local_clusterings(graph, nodes, executor))
 
 
 def _distance_sum(adj: list[set[int]], sources: Sequence[int]) -> int:
@@ -287,9 +299,10 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
     try:
         start = clock()
         if n:
-            report.graph_acc = average_clustering(graph, executor=executor)
-            report.main_component_acc = average_clustering(graph, main,
-                                                           executor=executor)
+            # One value per node, at index node - 1, serves both means.
+            local = _local_clusterings(graph, list(graph.node_ids()), executor)
+            report.graph_acc = _mean_clustering(local)
+            report.main_component_acc = _mean_clustering([local[v - 1] for v in main])
         report.timings["clustering"] = clock() - start
 
         start = clock()

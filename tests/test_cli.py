@@ -241,6 +241,27 @@ class TestBuild:
         assert "partial graph" in capsys.readouterr().err
         assert (out / "graph.json").exists()
 
+    def test_done_chunk_without_file_exits_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        (out / "chunks" / "chunk_3_5.ndjson").unlink()
+        assert run_cli("build", "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chunk chunk_3_5.ndjson is marked done")
+        assert err.count("\n") == 1
+        assert not (out / "graph.json").exists()
+
+    def test_chunk_file_outside_the_plan_exits_2(self, fixture_dir, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        stray = out / "chunks" / "chunk_10_12.ndjson"
+        stray.write_bytes((out / "chunks" / "chunk_0_2.ndjson").read_bytes())
+        assert run_cli("build", "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {stray} is not a chunk of the checkpoint's plan\n"
+        assert not (out / "graph.json").exists()
+
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -382,6 +403,30 @@ class TestCompare:
         verdict = read_json(output)["verdict"]
         assert verdict["acc_threshold"] == 10.0
         assert verdict["aspl_threshold"] == 1.1
+
+    def test_infinite_acc_ratio_is_strict_json(self, tmp_path, capsys):
+        from ledgernet.formats import export_json
+        from ledgernet.graph import InteractionGraph
+
+        # Every G(3, 2) is a path, so the baseline's clustering is 0.
+        graph = InteractionGraph("ethereum")
+        for key in ("0x" + "a" * 40, "0x" + "b" * 40, "0x" + "c" * 40):
+            graph.intern_node(key)
+        graph.record_edge(1, 2, 5, 1)
+        graph.record_edge(2, 3, 5, 1)
+        export_json(graph, tmp_path / "graph.json")
+        assert run_cli("compare", "--graph", tmp_path / "graph.json") == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "comparison.json").read_text()
+        verdict = json.loads(text, parse_constant=reject)["verdict"]
+        assert verdict["acc_ratio"] is None
+        assert verdict["acc_ratio_infinite"] is True
+        capsys.readouterr()
+        assert run_cli("report", "--dir", tmp_path) == 0
+        assert "ACC ratio inf," in capsys.readouterr().out
 
 
 class TestReport:

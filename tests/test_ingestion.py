@@ -12,6 +12,7 @@ from ledgernet import (
     ParseError,
     ProviderError,
     Transaction,
+    build_graph,
     canonicalize_address,
 )
 from ledgernet.ingestion import (
@@ -30,6 +31,7 @@ from ledgernet.ingestion import (
     decode_transaction,
     encode_transaction,
     fetch_block_transactions,
+    fold_chunks,
     iter_chunk_transactions,
     list_chunk_files,
     plan_tasks,
@@ -313,6 +315,19 @@ class TestCheckpoint:
             Checkpoint.load(tmp_path / "absent.json")
 
 
+MALFORMED_LINES = [
+    "not json",
+    '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '"}',
+    '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":1,"x":2}',
+    '{"h":1.5,"t":2,"s":null,"r":"' + ADDR[0] + '","v":1}',
+    '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":"1"}',
+    '{"h":1,"t":2,"s":null,"r":"zzz","v":1}',
+    '{"h":1,"t":2,"s":12,"r":"' + ADDR[0] + '","v":1}',
+    '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":-1}',
+    '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","x":1}',
+]
+
+
 class TestChunkCodec:
     def test_filename(self):
         assert chunk_filename(0, 99) == "chunk_0_99.ndjson"
@@ -335,16 +350,7 @@ class TestChunkCodec:
         for tx in oracles.random_transactions(rng, count=50):
             assert decode_transaction(encode_transaction(tx), ETH) == tx
 
-    @pytest.mark.parametrize("line", [
-        "not json",
-        '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '"}',
-        '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":1,"x":2}',
-        '{"h":1.5,"t":2,"s":null,"r":"' + ADDR[0] + '","v":1}',
-        '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":"1"}',
-        '{"h":1,"t":2,"s":null,"r":"zzz","v":1}',
-        '{"h":1,"t":2,"s":12,"r":"' + ADDR[0] + '","v":1}',
-        '{"h":1,"t":2,"s":null,"r":"' + ADDR[0] + '","v":-1}',
-    ])
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_decode_rejects_malformed_lines(self, line):
         with pytest.raises(ParseError):
             decode_transaction(line, ETH, path="chunk", line_no=4)
@@ -356,6 +362,123 @@ class TestChunkCodec:
         names = [p.name for p in list_chunk_files(tmp_path)]
         assert names == ["chunk_0_1.ndjson", "chunk_2_3.ndjson",
                          "chunk_10_19.ndjson"]
+
+
+def raw_chunk_dir(root, rng, chain):
+    """Chunk files as another writer might leave them: keys in any form that
+    canonicalizes, senderless rows, self-transfers and blank lines.  Returns
+    the transactions they hold, in order."""
+    root.mkdir()
+    txs = []
+    if chain is ETH:
+        keys = ["0x" + "".join(rng.choice("0123456789abcdef") for _ in range(40))
+                for _ in range(8)]
+        forms = [str, str.upper, lambda k: k[:2] + k[2:].upper(), lambda k: k[2:],
+                 lambda k: f"  {k}\t"]
+    else:
+        base58 = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+        keys = ["1" + "".join(rng.choice(base58) for _ in range(rng.randint(25, 33)))
+                for _ in range(8)]
+        forms = [str, lambda k: f" {k}\t", lambda k: f"{k}\n "]
+    first = rng.randrange(100)
+    for _ in range(rng.randint(1, 5)):
+        last = first + rng.randrange(4)
+        lines = []
+        for _ in range(rng.randrange(15)):
+            sender = None if rng.random() < 0.15 else rng.choice(keys)
+            recipient = (sender if sender and rng.random() < 0.15
+                         else rng.choice(keys))
+            height, amount = rng.randint(first, last), rng.randrange(10**20)
+            lines.append(json.dumps({
+                "h": height, "t": 1000 + height,
+                "s": None if sender is None else rng.choice(forms)(sender),
+                "r": rng.choice(forms)(recipient), "v": amount}))
+            txs.append(Transaction(
+                None if sender is None else canonicalize_address(sender, chain),
+                canonicalize_address(recipient, chain), amount, height, 1000 + height))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "  ", "\t"]))
+        (root / chunk_filename(first, last)).write_text("".join(
+            line + "\n" for line in lines))
+        first = last + 1
+    return txs
+
+
+def graph_state(graph):
+    return graph.keys, graph.adj, graph.edges, graph.in_tx, graph.out_tx
+
+
+def library_graph(chunk_dir, chain):
+    return build_graph(iter_chunk_transactions(chunk_dir, chain), chain)
+
+
+class TestFoldChunks:
+    @pytest.mark.parametrize("chain", [ETH, Chain.BITCOIN])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_library_path(self, tmp_path, chain, seed):
+        chunk_dir = tmp_path / "chunks"
+        txs = raw_chunk_dir(chunk_dir, random.Random(seed), chain)
+        expected = graph_state(build_graph(txs, chain))
+        assert graph_state(library_graph(chunk_dir, chain)) == expected
+        assert graph_state(fold_chunks(chunk_dir, chain)) == expected
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
+    def test_rejects_malformed_lines_like_decode(self, tmp_path, line):
+        good = encode_transaction(
+            Transaction(None, canonicalize_address(ADDR[1], ETH), 5, 1, 100))
+        path = tmp_path / chunk_filename(0, 9)
+        path.write_text(good + "\n" + good + line + "\n")
+        with pytest.raises(ParseError) as decoded:
+            decode_transaction(line, ETH, path=path, line_no=4)
+        for fold in (lambda: fold_chunks(tmp_path, ETH),
+                     lambda: library_graph(tmp_path, ETH)):
+            with pytest.raises(ParseError) as folded:
+                fold()
+            assert str(folded.value) == str(decoded.value)
+            assert (folded.value.path, folded.value.line) == (path, 4)
+
+    def test_record_outside_its_file_span_is_rejected(self, tmp_path):
+        recipient = canonicalize_address(ADDR[1], ETH)
+        path = tmp_path / chunk_filename(0, 2)
+        path.write_text("".join(
+            encode_transaction(Transaction(None, recipient, 5, h, 0)) for h in (2, 3)))
+        with pytest.raises(ParseError, match=r"height 3 is outside the file's "
+                                             r"span 0\.\.2") as info:
+            fold_chunks(tmp_path, ETH)
+        assert (info.value.path, info.value.line) == (path, 2)
+
+    def test_with_checkpoint_matches_library_path(self, tmp_path):
+        out = tmp_path / "out"
+        _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        assert (graph_state(fold_chunks(out / "chunks", ETH, checkpoint))
+                == graph_state(library_graph(out / "chunks", ETH)))
+
+    def test_done_chunk_without_file_is_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        (out / "chunks" / "chunk_3_5.ndjson").unlink()
+        with pytest.raises(CheckpointError, match="chunk_3_5.ndjson is marked done"):
+            fold_chunks(out / "chunks", ETH, checkpoint)
+
+    @pytest.mark.parametrize("name", ["chunk_10_12.ndjson", "chunk_0_1.ndjson",
+                                      "chunk_03_5.ndjson"])
+    def test_file_outside_the_plan_is_rejected(self, tmp_path, name):
+        out = tmp_path / "out"
+        _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        (out / "chunks" / name).write_text("")
+        with pytest.raises(CheckpointError, match=f"{name} is not a chunk of "
+                                                  f"the checkpoint's plan"):
+            fold_chunks(out / "chunks", ETH, checkpoint)
+
+    def test_files_of_chunks_not_done_are_skipped(self, tmp_path):
+        out = tmp_path / "out"
+        _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        checkpoint.done.discard(6)
+        expected = build_graph(
+            (tx for tx in iter_chunk_transactions(out / "chunks", ETH)
+             if not 6 <= tx.block_height <= 8), ETH)
+        assert (graph_state(fold_chunks(out / "chunks", ETH, checkpoint))
+                == graph_state(expected))
 
 
 def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,

@@ -328,6 +328,29 @@ class TestAnalyze:
         assert_close(left.graph_acc, right.graph_acc)
         assert_close(left.main_component_aspl, right.main_component_aspl)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_local_clustering_runs_once_per_node(self, monkeypatch, workers):
+        rng = random.Random(59)
+        # Two halves of 300 nodes, so each mean spans more than one chunk.
+        g = oracles.graph_from_edges(
+            600, list(oracles.random_gnm_edge_set(rng, 300, 700))
+            + [(a + 300, b + 300)
+               for a, b in oracles.random_gnm_edge_set(rng, 300, 500)])
+        labels = connected_components(g)[1]
+        main = [v for v in g.node_ids() if labels[v] == 0]
+        calls = []
+
+        def counted(graph, node):
+            calls.append(node)
+            return local_clustering(graph, node)
+
+        monkeypatch.setattr(metrics, "local_clustering", counted)
+        report = analyze(g, workers)
+        assert sorted(calls) == list(g.node_ids())
+        monkeypatch.undo()
+        assert report.graph_acc == average_clustering(g)
+        assert report.main_component_acc == average_clustering(g, main)
+
     def test_timings_are_recorded(self):
         report = analyze(oracles.path_graph(5))
         assert set(report.timings) == {"degrees", "components", "clustering", "aspl"}

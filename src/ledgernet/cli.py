@@ -374,6 +374,9 @@ def cmd_download(args) -> int:
         "blocks_fetched": summary.blocks_fetched,
         "transactions_written": summary.transactions_written,
         "interrupted": summary.interrupted,
+        "request_attempts": sum(task.attempt_count for task in tasks),
+        "checkpoint_saves": summary.checkpoint_saves,
+        "timings_seconds": summary.timings,
     }
     _write_json(out_dir / "download_summary.json", doc)
     print(f"downloaded {summary.blocks_fetched} blocks "

@@ -10,6 +10,7 @@ structure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -22,7 +23,12 @@ class Chain(str, Enum):
     ETHEREUM = "ethereum"
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+# The shape of a canonical key, by chain: canonicalize_address returns such
+# a key unchanged and maps any other key to one or rejects it.
+_CANONICAL_KEY = {
+    Chain.ETHEREUM: re.compile(r"0x[0-9a-f]{40}").fullmatch,
+    Chain.BITCOIN: re.compile(r"\S+").fullmatch,
+}
 
 
 @dataclass(frozen=True)
@@ -40,23 +46,23 @@ def canonicalize_address(raw: str, chain: Chain | str) -> AddressKey:
     prefix may be missing on input).  Bitcoin addresses are kept verbatim
     apart from trimming surrounding whitespace.
     """
-    try:
-        chain = Chain(chain)
-    except ValueError as exc:
-        raise AddressError(f"unknown chain: {chain!r}") from exc
+    if not isinstance(chain, Chain):
+        try:
+            chain = Chain(chain)
+        except ValueError as exc:
+            raise AddressError(f"unknown chain: {chain!r}") from exc
+    canonical = _CANONICAL_KEY[chain]
+    if isinstance(raw, str) and canonical(raw):
+        return AddressKey(chain, raw)
     if not isinstance(raw, str) or not raw.strip():
         raise AddressError(f"empty {chain.value} address")
+    key = raw.strip()
     if chain is Chain.ETHEREUM:
-        text = raw.strip().lower()
-        if text.startswith("0x"):
-            text = text[2:]
-        if len(text) != 40 or not set(text) <= _HEX_DIGITS:
-            raise AddressError(f"malformed ethereum address: {raw!r}")
-        return AddressKey(chain, "0x" + text)
-    text = raw.strip()
-    if any(c.isspace() for c in text):
-        raise AddressError(f"malformed bitcoin address: {raw!r}")
-    return AddressKey(chain, text)
+        key = key.lower()
+        key = key if key.startswith("0x") else "0x" + key
+    if not canonical(key):
+        raise AddressError(f"malformed {chain.value} address: {raw!r}")
+    return AddressKey(chain, key)
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class Transaction:
 
     ``sender`` is None for block rewards and similar transactions that have
     no sending account.  Amounts are integers in the chain's base unit
-    (wei / satoshi).
+    (wei / satoshi); amount, height and timestamp must be exact ``int``s.
     """
 
     sender: AddressKey | None
@@ -75,6 +81,11 @@ class Transaction:
     timestamp: int
 
     def __post_init__(self):
+        if not (type(self.amount) is type(self.block_height)
+                is type(self.timestamp) is int):
+            raise ValueError("amount, block height and timestamp must be integers, "
+                             f"got {self.amount!r}, {self.block_height!r}, "
+                             f"{self.timestamp!r}")
         if self.amount < 0:
             raise ValueError(f"negative amount: {self.amount}")
         if self.block_height < 0:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..errors import CheckpointError, ParseError
 from ..graph import (
+    _CANONICAL_KEY,
     AddressKey,
     Chain,
     InteractionGraph,
@@ -30,11 +32,6 @@ from .checkpoint import Checkpoint
 _CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
 _FIELDS = ("h", "t", "s", "r", "v")
 _FIELD_SET = frozenset(_FIELDS)
-# Keys that canonicalize_address returns unchanged, by chain.
-_CANONICAL_KEY = {
-    Chain.ETHEREUM: re.compile(r"0x[0-9a-f]{40}").fullmatch,
-    Chain.BITCOIN: re.compile(r"\S+").fullmatch,
-}
 
 
 def chunk_filename(first: int, last: int) -> str:
@@ -49,14 +46,11 @@ def parse_chunk_filename(name: str) -> tuple[int, int] | None:
 
 
 def encode_transaction(tx: Transaction) -> str:
-    record = {
-        "h": tx.block_height,
-        "t": tx.timestamp,
-        "s": None if tx.sender is None else tx.sender.key,
-        "r": tx.recipient.key,
-        "v": tx.amount,
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    """The chunk line of ``tx``, as ``json.dumps`` with compact separators
+    writes it (``Transaction`` fields are exact ints)."""
+    sender = "null" if tx.sender is None else _quote(tx.sender.key)
+    return (f'{{"h":{tx.block_height},"t":{tx.timestamp},"s":{sender},'
+            f'"r":{_quote(tx.recipient.key)},"v":{tx.amount}}}\n')
 
 
 def _decode_record(line: str, chain: Chain | str, path,
@@ -132,9 +126,23 @@ def list_chunk_files(chunk_dir) -> list[Path]:
     return [entry for _, entry in sorted(found)]
 
 
+def _disjoint(files: list[Path]) -> list[Path]:
+    """``files`` (sorted by span) after checking that no two share a block,
+    which would be folded twice."""
+    previous, previous_last = None, -1
+    for path in files:
+        first, last = parse_chunk_filename(path.name)
+        if first <= previous_last:
+            raise ParseError(f"chunk files {previous} and {path} overlap: both "
+                             f"hold blocks {first}..{min(last, previous_last)}")
+        previous, previous_last = path, last
+    return files
+
+
 def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transaction]:
-    """Stream every downloaded transaction in block order, one chunk at a time."""
-    for path in list_chunk_files(chunk_dir):
+    """Stream every downloaded transaction in block order, one chunk at a
+    time; chunk files that overlap raise ParseError."""
+    for path in _disjoint(list_chunk_files(chunk_dir)):
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
@@ -147,7 +155,7 @@ def fold_chunks(chunk_dir, chain: Chain | str,
     without ``Transaction`` objects, also rejecting a record outside its
     file's block span.  With a checkpoint, every chunk file must be a chunk
     of its plan and every done chunk must have its file; only done chunks
-    are folded.
+    are folded.  Without one, chunk files must not overlap.
     """
     files = list_chunk_files(chunk_dir)
     if checkpoint is not None:
@@ -166,7 +174,7 @@ def fold_chunks(chunk_dir, chain: Chain | str,
     chain = Chain(chain)
     graph = InteractionGraph(chain)
     add_transfer = graph.add_transfer
-    for path in files:
+    for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):

@@ -4,9 +4,11 @@ A coordinator owns the task queue and the checkpoint.  Workers pull chunk
 tasks, fetch block transactions through the provider (retrying transient
 failures with exponential backoff), and write each finished chunk to a
 private temp file.  The coordinator alone renames temp files into place and
-persists the checkpoint after every completed chunk, so an interruption at
-any instant leaves a consistent state: finished chunks are recorded, nothing
-half-written is visible.
+persists the checkpoint.  It waits for the next chunk in task order, takes
+it and every chunk right after it that has finished too, renames their
+files into place, then saves the checkpoint once for the batch.  An
+interruption at any instant therefore leaves a consistent state: every chunk
+the checkpoint lists has its file, nothing half-written is visible.
 
 Chunk contents depend only on (chain, block span), never on worker count or
 scheduling, which is what makes interrupted-plus-resumed runs byte-identical
@@ -19,7 +21,8 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -205,6 +208,7 @@ class DownloadSummary:
     chunks_completed: int = 0
     interrupted: bool = False
     chunks_skipped: int = 0
+    checkpoint_saves: int = 0
     timings: dict = field(default_factory=dict, compare=False)
 
 
@@ -220,7 +224,8 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
     ``stop_event`` requests a graceful stop: in-flight chunks finish and are
     recorded, pending ones stay pending for the next run.  On an unrecoverable
     provider error the remaining work is abandoned the same way and the error
-    propagates with the checkpoint intact.
+    propagates with the checkpoint intact.  ``on_chunk_complete`` fires for a
+    chunk once a saved checkpoint lists it.
     """
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
@@ -230,7 +235,7 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
         stale.unlink()
     checkpoint.save(checkpoint_path)
     stop_event = stop_event or threading.Event()
-    summary = DownloadSummary()
+    summary = DownloadSummary(checkpoint_saves=1)
     started = time.perf_counter()
 
     def fetch_chunk(task: DownloadTask):
@@ -248,26 +253,37 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
 
     failure: BaseException | None = None
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        futures = [pool.submit(fetch_chunk, task) for task in tasks]
-        for future in futures:
-            try:
-                task, temp, blocks, lines = future.result()
-            except BaseException as exc:
-                stop_event.set()
-                if failure is None:
-                    failure = exc
-                continue
-            if temp is None:
-                summary.chunks_skipped += 1
-                continue
-            os.replace(temp, chunk_dir / chunk_filename(task.first, task.last))
-            checkpoint.mark_done(task.first)
-            checkpoint.save(checkpoint_path)
-            summary.chunks_completed += 1
-            summary.blocks_fetched += blocks
-            summary.transactions_written += lines
+        futures = deque(pool.submit(fetch_chunk, task) for task in tasks)
+        while futures:
+            # The next chunk in task order and every done chunk right after it
+            batch = [futures.popleft()]
+            wait(batch)
+            while futures and futures[0].done():
+                batch.append(futures.popleft())
+            finished = []
+            for future in batch:
+                try:
+                    task, temp, blocks, lines = future.result()
+                except BaseException as exc:
+                    stop_event.set()
+                    if failure is None:
+                        failure = exc
+                    continue
+                if temp is None:
+                    summary.chunks_skipped += 1
+                    continue
+                os.replace(temp, chunk_dir / chunk_filename(task.first, task.last))
+                checkpoint.mark_done(task.first)
+                summary.chunks_completed += 1
+                summary.blocks_fetched += blocks
+                summary.transactions_written += lines
+                finished.append(task)
+            if finished:
+                checkpoint.save(checkpoint_path)
+                summary.checkpoint_saves += 1
             if on_chunk_complete is not None:
-                on_chunk_complete(task)
+                for task in finished:
+                    on_chunk_complete(task)
     if failure is not None:
         raise failure
     summary.interrupted = stop_event.is_set()

@@ -353,6 +353,8 @@ class BitcoinApiProvider(BlockProvider):
                 continue
             recipient = canonicalize_address(addr, self.chain)
             value = tx_out.get("value", 0)
+            if type(value) is not int:  # divmod would turn True into ints
+                raise ValueError(f"output value must be an integer, got {value!r}")
             if not senders:
                 expanded.append(Transaction(None, recipient, value,
                                             height, timestamp))

@@ -230,6 +230,49 @@ def random_address(rng: random.Random, chain: Chain = ETH) -> str:
     return "1" + "".join(rng.choice(alphabet) for _ in range(33))
 
 
+def canonical_key(raw, chain: Chain) -> str:
+    """``canonicalize_address(raw, chain).key`` by the rules alone: strip,
+    then for Ethereum lowercase, drop a ``0x`` and require 40 hex digits,
+    for Bitcoin require no inner whitespace.  Raises ValueError with
+    ``canonicalize_address``'s message for a key it rejects."""
+    chain = Chain(chain)
+    if not isinstance(raw, str) or not raw.strip():
+        raise ValueError(f"empty {chain.value} address")
+    text = raw.strip()
+    if chain is Chain.ETHEREUM:
+        text = text.lower().removeprefix("0x")
+        if len(text) != 40 or any(c not in "0123456789abcdef" for c in text):
+            raise ValueError(f"malformed ethereum address: {raw!r}")
+        return "0x" + text
+    if any(c.isspace() for c in text):
+        raise ValueError(f"malformed bitcoin address: {raw!r}")
+    return text
+
+
+def random_raw_address(rng: random.Random, chain: Chain) -> str:
+    """An address as a source might send it: canonical, case-mangled,
+    without its prefix, padded with whitespace, or malformed."""
+    space = [" ", "\t", "\n", "\x1c", "\u00a0", "\u2003"]
+    if chain is Chain.ETHEREUM:
+        digits = "".join(rng.choice("0123456789abcdefABCDEF")
+                         for _ in range(rng.choice([40, 40, 40, 39, 41])))
+        text = rng.choice(["0x", "0x", "0X", "", "0x0x"]) + digits
+        if rng.random() < 0.2:
+            text = text.lower()
+        if rng.random() < 0.1:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("gxZ.é ") + text[i:]
+    else:
+        alphabet = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz\"é\\"
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 34)))
+        if rng.random() < 0.1 and text:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(space) + text[i:]
+    if rng.random() < 0.3:
+        text = rng.choice(space) + text + rng.choice(space + [""])
+    return text
+
+
 def random_transactions(rng: random.Random, chain: Chain = ETH,
                         address_count: int = 12, count: int = 60,
                         ) -> list[Transaction]:

@@ -90,6 +90,47 @@ class TestDownload:
         assert doc["chunks_completed_this_run"] == 0
         assert doc["chunks_done"] == 4
 
+    def test_summary_records_requests_saves_and_timings(self, fixture_dir,
+                                                        tmp_path, monkeypatch):
+        from ledgernet.errors import ProviderError
+        from ledgernet.ingestion import FixtureProvider
+
+        fetch = FixtureProvider.block_transactions
+        failed = set()
+
+        def fails_once_per_block(provider, height):
+            if height not in failed:
+                failed.add(height)
+                raise ProviderError("scripted transient failure")
+            return fetch(provider, height)
+
+        monkeypatch.setattr(FixtureProvider, "block_transactions",
+                            fails_once_per_block)
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--backoff-base", "0.001") == 0
+        doc = read_json(out / "download_summary.json")
+        assert doc["request_attempts"] == 20
+        assert 2 <= doc["checkpoint_saves"] <= 5
+        assert doc["timings_seconds"]["download_seconds"] > 0
+        assert doc["chunks_done"] == 4 and doc["blocks_fetched"] == 10
+
+    @pytest.mark.parametrize("amount", ["1.5", "true", "1e3"])
+    def test_non_integer_amount_exits_2_and_leaves_chunk_not_done(
+            self, fixture_dir, tmp_path, capsys, amount):
+        block = fixture_dir / "block_00000004.json"
+        doc = json.loads(block.read_text())
+        doc["transactions"][1]["amount"] = json.loads(amount)
+        block.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--workers", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixture block 4 malformed: amount, block "
+                              "height and timestamp must be integers, got ")
+        assert err.count("\n") == 1
+        checkpoint = read_json(out / "checkpoint.json")
+        assert 3 not in checkpoint["done"]
+        assert "chunk_3_5.ndjson" not in chunk_bytes(out)
+
     def test_force_discards_previous_run(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -261,6 +302,22 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err == f"error: {stray} is not a chunk of the checkpoint's plan\n"
         assert not (out / "graph.json").exists()
+
+    def test_overlapping_chunk_files_without_checkpoint_exit_2(
+            self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        chunks = out / "chunks"
+        copy = chunks / "chunk_00_2.ndjson"
+        copy.write_bytes((chunks / "chunk_0_2.ndjson").read_bytes())
+        bare = tmp_path / "bare"
+        capsys.readouterr()
+        assert run_cli("build", "--output-dir", bare, "--chunks", chunks,
+                       "--chain", "ethereum") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: chunk files {copy} and {chunks / 'chunk_0_2.ndjson'} "
+                       f"overlap: both hold blocks 0..2\n")
+        assert not (bare / "graph.json").exists()
 
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -83,8 +83,40 @@ class TestCanonicalizeAddress:
             once = btc(raw)
             assert btc(once.key) == once
 
+    @pytest.mark.parametrize("chain", [Chain.ETHEREUM, Chain.BITCOIN])
+    def test_matches_the_rules_on_random_input(self, chain):
+        rng = random.Random(41)
+        accepted = 0
+        for _ in range(3000):
+            raw = oracles.random_raw_address(rng, chain)
+            try:
+                expected = oracles.canonical_key(raw, chain)
+            except ValueError as exc:
+                with pytest.raises(AddressError) as info:
+                    canonicalize_address(raw, chain)
+                assert str(info.value) == str(exc)
+                continue
+            accepted += 1
+            for given in (chain, chain.value):
+                key = canonicalize_address(raw, given)
+                assert (key.chain, key.key) == (chain, expected)
+                assert type(key.chain) is Chain and type(key.key) is str
+        assert 1000 < accepted < 2900
+
+    @pytest.mark.parametrize("raw", [None, 12, b"0x" + b"a" * 40])
+    def test_rejects_non_strings(self, raw):
+        for chain in Chain:
+            with pytest.raises(AddressError, match=f"empty {chain.value} address"):
+                canonicalize_address(raw, chain)
+
 
 class TestTransaction:
+    @pytest.mark.parametrize("field", ["amount", "height", "timestamp"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "7", None])
+    def test_rejects_fields_that_are_not_ints(self, field, value):
+        with pytest.raises(ValueError, match="must be integers"):
+            tx(A, B, **{field: value})
+
     def test_rejects_negative_amount(self):
         with pytest.raises(ValueError):
             tx(A, B, amount=-1)

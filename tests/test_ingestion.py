@@ -1,11 +1,13 @@
 import json
 import random
 import threading
+import time
 
 import pytest
 import requests
 
 from ledgernet import (
+    AddressKey,
     Chain,
     CheckpointError,
     EmptyRangeError,
@@ -40,6 +42,7 @@ from ledgernet.ingestion import (
 )
 from ledgernet.ingestion.providers import write_fixture_block, write_fixture_meta
 
+import oracles
 from conftest import ADDR, StopAfterBlocks, make_fixture
 
 ETH = Chain.ETHEREUM
@@ -103,6 +106,19 @@ class TestFixtureProvider:
         assert txs[0].sender.key == ADDR[0]
         assert txs[0].timestamp == 1234
         assert txs[1].sender is None
+
+    @pytest.mark.parametrize("amount, timestamp", [(1.5, 0), (True, 0), ("5", 0),
+                                                   (5, 10.0)])
+    def test_non_integer_fields_are_permanent_errors(self, tmp_path, amount,
+                                                     timestamp):
+        write_fixture_meta(tmp_path, "ethereum")
+        write_fixture_block(tmp_path, 0, timestamp, [
+            {"sender": ADDR[0], "recipient": ADDR[1], "amount": amount}])
+        with pytest.raises(ProviderError, match="fixture block 0 malformed: "
+                                                "amount, block height and timestamp "
+                                                "must be integers") as info:
+            FixtureProvider(tmp_path).block_transactions(0)
+        assert info.value.permanent
 
     def test_missing_block_is_permanent_error(self, tmp_path):
         make_fixture(tmp_path, block_count=2)
@@ -345,10 +361,32 @@ class TestChunkCodec:
         assert decode_transaction(line, ETH) == tx
 
     def test_random_round_trips(self):
-        import oracles
         rng = random.Random(15)
         for tx in oracles.random_transactions(rng, count=50):
             assert decode_transaction(encode_transaction(tx), ETH) == tx
+
+    def test_encode_matches_json_dumps(self):
+        rng = random.Random(23)
+        alphabet = ("1aZ9", '"', "\\", "/", "\u00e9", "\u20ac", "\U0001f600",
+                    "\x00", "\x1f", "\x7f", "\n", "\t", "\ud800")
+        for _ in range(2000):
+            chain = rng.choice(list(Chain))
+            if chain is ETH:
+                keys = [canonicalize_address(oracles.random_address(rng), ETH)
+                        for _ in range(2)]
+            else:
+                keys = [AddressKey(chain, "".join(
+                    rng.choice(alphabet) for _ in range(rng.randint(1, 12))))
+                    for _ in range(2)]
+            sender = None if rng.random() < 0.2 else keys[0]
+            big = rng.choice([0, 1, 2**53, 2**64 - 1, 2**64, 10**30, 2**200])
+            tx = Transaction(sender, keys[1], rng.randrange(big + 1),
+                             rng.randrange(big + 1), rng.randrange(big + 1))
+            record = {"h": tx.block_height, "t": tx.timestamp,
+                      "s": None if sender is None else sender.key,
+                      "r": tx.recipient.key, "v": tx.amount}
+            assert encode_transaction(tx) == json.dumps(
+                record, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_decode_rejects_malformed_lines(self, line):
@@ -470,6 +508,25 @@ class TestFoldChunks:
                                                   f"the checkpoint's plan"):
             fold_chunks(out / "chunks", ETH, checkpoint)
 
+    @pytest.mark.parametrize("name, twin, held", [
+        ("chunk_00_2.ndjson", "chunk_0_2.ndjson", "0..2"),
+        ("chunk_2_4.ndjson", "chunk_0_2.ndjson", "2..2"),
+        ("chunk_4_4.ndjson", "chunk_3_5.ndjson", "4..4"),
+        ("chunk_8_20.ndjson", "chunk_6_8.ndjson", "8..8")])
+    def test_overlapping_files_are_rejected_without_checkpoint(
+            self, tmp_path, name, twin, held):
+        out = tmp_path / "out"
+        run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        chunk_dir = out / "chunks"
+        (chunk_dir / name).write_bytes((chunk_dir / twin).read_bytes())
+        for fold in (lambda: fold_chunks(chunk_dir, ETH),
+                     lambda: list(iter_chunk_transactions(chunk_dir, ETH))):
+            with pytest.raises(ParseError, match=f"overlap: both hold blocks "
+                                                 f"{held}") as info:
+                fold()
+            assert str(chunk_dir / name) in str(info.value)
+            assert str(chunk_dir / twin) in str(info.value)
+
     def test_files_of_chunks_not_done_are_skipped(self, tmp_path):
         out = tmp_path / "out"
         _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
@@ -505,6 +562,26 @@ def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,
 
 def chunk_bytes(out_dir):
     return {p.name: p.read_bytes() for p in list_chunk_files(out_dir / "chunks")}
+
+
+def watch_saves(monkeypatch, chunk_dir, delay=0.0):
+    """Wraps ``Checkpoint.save``: each save first checks that every chunk the
+    checkpoint lists as done has its file in place, optionally takes
+    ``delay`` seconds, and appends the done set it saved to the list
+    returned."""
+    saved = []
+    save = Checkpoint.save
+
+    def checked_save(checkpoint, path):
+        for first in checkpoint.done:
+            last = min(first + checkpoint.chunk_size - 1, checkpoint.last)
+            assert (chunk_dir / chunk_filename(first, last)).is_file()
+        time.sleep(delay)
+        save(checkpoint, path)
+        saved.append(set(checkpoint.done))
+
+    monkeypatch.setattr(Checkpoint, "save", checked_save)
+    return saved
 
 
 class TestRunDownload:
@@ -562,6 +639,34 @@ class TestRunDownload:
         assert checkpoint2.is_complete
         assert summary.chunks_completed + summary2.chunks_completed == 4
         assert chunk_bytes(resumed) == chunk_bytes(single)
+
+    @pytest.mark.parametrize("worker_count", [1, 4])
+    def test_checkpoint_lists_only_chunks_in_place(self, tmp_path, monkeypatch,
+                                                   worker_count):
+        out = tmp_path / "out"
+        saved = watch_saves(monkeypatch, out / "chunks")
+        completed = []
+
+        def on_chunk_complete(task):
+            assert saved and task.first in saved[-1]
+            completed.append(task.first)
+
+        summary, checkpoint = run_fixture_download(
+            make_fixture(tmp_path / "fx", block_count=12), out, chunk_size=1,
+            worker_count=worker_count, on_chunk_complete=on_chunk_complete)
+        assert sorted(completed) == list(range(12))
+        assert summary.checkpoint_saves == len(saved) <= 12 + 1
+        assert saved[-1] == checkpoint.done == set(range(12))
+
+    def test_chunks_finished_during_a_save_share_the_next_save(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        saved = watch_saves(monkeypatch, out / "chunks", delay=0.05)
+        summary, checkpoint = run_fixture_download(
+            make_fixture(tmp_path / "fx", block_count=12), out, chunk_size=1,
+            worker_count=4)
+        assert checkpoint.is_complete
+        assert summary.checkpoint_saves == len(saved) <= 5
 
     def test_empty_task_list_is_a_no_op(self, tmp_path):
         provider = FixtureProvider(make_fixture(tmp_path / "fx"))
@@ -818,6 +923,17 @@ class TestBitcoinApiProvider:
         assert len(txs) == 1
         assert txs[0].sender is None
         assert txs[0].amount == 50
+
+    @pytest.mark.parametrize("value", [1.5, True, "7"])
+    @pytest.mark.parametrize("inputs", [[], [{"prev_out": {"addr": BTC_IN[0]}}],
+                                        [{"prev_out": {"addr": a}} for a in BTC_IN]])
+    def test_non_integer_value_is_permanent(self, inputs, value):
+        tx = {"inputs": inputs, "out": [{"addr": BTC_OUT[0], "value": value}]}
+        routes = {"/block-height/0?format=json": {"blocks": [
+            {"main_chain": True, "time": 100, "tx": [tx]}]}}
+        with pytest.raises(ProviderError, match="must be an integer") as info:
+            self.provider(routes).block_transactions(0)
+        assert info.value.permanent
 
     def test_missing_height_is_permanent(self):
         provider = self.provider({"/block-height/9?format=json": {"blocks": []}})

@@ -50,12 +50,14 @@ def generate_er_gnm(spec: ErSpec) -> InteractionGraph:
     graph = InteractionGraph()
     for i in range(1, spec.n + 1):
         graph.intern_node(f"v{i}")
-    rng = random.Random(spec.seed)
-    while graph.edge_count < spec.m:
-        a = rng.randrange(1, spec.n + 1)
-        b = rng.randrange(1, spec.n + 1)
-        if a != b and not graph.has_edge(a, b):
-            graph.record_edge(a, b, amount=1, tx_count=1)
+    draw = random.Random(spec.seed).randrange
+    insert = graph.insert_edge
+    edges = graph.edges
+    while len(edges) < spec.m:
+        a = draw(1, spec.n + 1)
+        b = draw(1, spec.n + 1)
+        if a != b:
+            insert(a, b, 1, 1)
     return graph
 
 

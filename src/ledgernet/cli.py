@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import signal
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD, compare
-from .errors import LedgerNetError, UsageError
+from .errors import LedgerNetError, ParseError, UsageError
 from .formats import (
     FORMAT_JSON,
     FORMAT_PAJEK,
@@ -34,25 +35,6 @@ from .formats import (
     infer_format,
 )
 from .graph import Chain
-from .ingestion.checkpoint import Checkpoint
-from .ingestion.chunks import fold_chunks, list_chunk_files
-from .ingestion.download import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_SLACK,
-    BlockRange,
-    RetryPolicy,
-    TimeInterval,
-    plan_tasks,
-    resolve_block_range,
-    run_download,
-)
-from .ingestion.providers import (
-    BitcoinApiProvider,
-    EthereumRpcProvider,
-    FixtureProvider,
-    ThrottledProvider,
-    TokenBucket,
-)
 from .metrics import analyze
 
 ENV_ENDPOINT = "LEDGERNET_ENDPOINT"
@@ -131,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from-time", type=int, metavar="UNIX",
                    help="interval start, unix seconds (resolved to blocks)")
     p.add_argument("--to-time", type=int, metavar="UNIX")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N")
+    p.add_argument("--chunk-size", type=int, metavar="N")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="download workers (default: logical core count)")
     p.add_argument("--rate-limit", type=float, default=None, metavar="R",
@@ -139,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--retry-cap", type=int, default=None, metavar="N",
                    help="max attempts per request (default: retry forever)")
     p.add_argument("--backoff-base", type=float, default=None, metavar="SEC")
-    p.add_argument("--slack", type=int, default=DEFAULT_SLACK, metavar="N",
+    p.add_argument("--slack", type=int, metavar="N",
                    help="blocks scanned linearly around each interval boundary")
     p.add_argument("--config", metavar="PATH", help="JSON file with provider settings")
     common(p)
@@ -245,11 +227,23 @@ def _now() -> str:
 
 
 def _write_json(path, doc) -> None:
+    """Serialise first, so that a document json rejects leaves no partial file."""
+    payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(payload)
+
+
+def _read_report(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"corrupt report: {exc}", path=path) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("corrupt report: not a JSON object", path=path)
+    return doc
 
 
 def _load_graph(args):
@@ -265,7 +259,16 @@ def _skip_existing(path, force: bool) -> bool:
 
 
 def cmd_download(args) -> int:
+    from .ingestion.checkpoint import Checkpoint
+    from .ingestion.chunks import list_chunk_files
+    from .ingestion.download import (DEFAULT_CHUNK_SIZE, DEFAULT_SLACK, BlockRange,
+                                     RetryPolicy, TimeInterval, plan_tasks,
+                                     resolve_block_range, run_download)
+    from .ingestion.providers import (BitcoinApiProvider, EthereumRpcProvider,
+                                      FixtureProvider, ThrottledProvider, TokenBucket)
     chain = Chain(args.chain)
+    chunk_size = DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
+    slack = DEFAULT_SLACK if args.slack is None else args.slack
     file_config = _load_config_file(args.config)
     endpoint = _setting(args.endpoint, ENV_ENDPOINT, file_config,
                         "endpoint", None, str)
@@ -278,8 +281,8 @@ def cmd_download(args) -> int:
     backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, file_config,
                             "backoff_base", DEFAULT_BACKOFF_BASE, float)
     worker_count = _workers(args.workers)
-    if args.chunk_size < 1:
-        raise UsageError(f"--chunk-size must be >= 1, got {args.chunk_size}")
+    if chunk_size < 1:
+        raise UsageError(f"--chunk-size must be >= 1, got {chunk_size}")
 
     by_block = args.from_block is not None or args.to_block is not None
     by_time = args.from_time is not None or args.to_time is not None
@@ -315,7 +318,7 @@ def cmd_download(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         block_range = resolve_block_range(interval, provider,
-                                          slack=args.slack, policy=retry_policy)
+                                          slack=slack, policy=retry_policy)
         print(f"interval [{args.from_time}, {args.to_time}] covers blocks "
               f"{block_range.first}..{block_range.last}")
 
@@ -332,8 +335,8 @@ def cmd_download(args) -> int:
         checkpoint = Checkpoint.load(checkpoint_path)
     else:
         checkpoint = Checkpoint(chain, block_range.first, block_range.last,
-                                args.chunk_size)
-    tasks = plan_tasks(block_range, args.chunk_size, checkpoint, chain=chain)
+                                chunk_size)
+    tasks = plan_tasks(block_range, chunk_size, checkpoint, chain=chain)
     planned = len(checkpoint.planned_firsts())
     if not tasks:
         print(f"nothing to do: all {planned} chunks are already downloaded")
@@ -343,7 +346,7 @@ def cmd_download(args) -> int:
         api_key=api_key, rate_limit=rate_limit, retry_cap=retry_cap,
         backoff_base=backoff_base, from_block=args.from_block,
         to_block=args.to_block, from_time=args.from_time, to_time=args.to_time,
-        slack=args.slack, chunk_size=args.chunk_size, worker_count=worker_count,
+        slack=slack, chunk_size=chunk_size, worker_count=worker_count,
         output_dir=str(out_dir))
 
     stop_event = threading.Event()
@@ -391,6 +394,8 @@ def cmd_download(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .ingestion.checkpoint import Checkpoint
+    from .ingestion.chunks import fold_chunks
     out_dir = Path(args.output_dir)
     chunk_dir = Path(args.chunks) if args.chunks else out_dir / "chunks"
     checkpoint_path = (Path(args.checkpoint) if args.checkpoint
@@ -468,6 +473,10 @@ def cmd_compare(args) -> int:
     worker_count = _workers(args.workers)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    for flag, value in (("--acc-threshold", args.acc_threshold),
+                        ("--aspl-threshold", args.aspl_threshold)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be a finite number, got {value}")
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
@@ -502,6 +511,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .ingestion.checkpoint import Checkpoint
     root = Path(args.dir)
     found = False
 
@@ -524,8 +534,7 @@ def cmd_report(args) -> int:
     metrics_path = root / "metrics.json"
     if metrics_path.exists():
         found = True
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_report(metrics_path)
         print(f"metrics: {doc.get('node_count')} nodes, "
               f"{doc.get('edge_count')} edges, "
               f"{doc.get('components', {}).get('count')} components, "
@@ -535,8 +544,7 @@ def cmd_report(args) -> int:
     comparison_path = root / "comparison.json"
     if comparison_path.exists():
         found = True
-        with open(comparison_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_report(comparison_path)
         verdict = doc.get("verdict", {})
         answer = "small-world" if verdict.get("is_small_world") else "not small-world"
         acc_ratio = ("inf" if verdict.get("acc_ratio_infinite")

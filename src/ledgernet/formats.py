@@ -98,7 +98,7 @@ def import_graph(path, fmt: str | None = None) -> InteractionGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read graph file: {exc}", path=path) from exc
     if fmt == FORMAT_JSON:
         return _parse_json(text, path)
@@ -129,25 +129,36 @@ def _parse_json(text: str, path) -> InteractionGraph:
     _require(isinstance(vertices, list), '"vertices" missing or not a list', path)
     _require(isinstance(edges, list), '"edges" missing or not a list', path)
     graph = InteractionGraph(chain)
+    ids = graph._ids
     for key in vertices:
-        _require(isinstance(key, str) and bool(key), f"bad vertex key: {key!r}", path)
-        _require(key not in graph, f"duplicate vertex: {key!r}", path)
+        if not (isinstance(key, str) and key):
+            raise ParseError(f"bad vertex key: {key!r}", path=path)
+        if key in ids:
+            raise ParseError(f"duplicate vertex: {key!r}", path=path)
         graph.intern_node(key)
+    insert = graph.insert_edge
     for entry in edges:
-        _require(isinstance(entry, list) and len(entry) == 3,
-                 f"edge is not a [key, key, amount] triple: {entry!r}", path)
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ParseError(f"edge is not a [key, key, amount] triple: {entry!r}",
+                             path=path)
         key_a, key_b, amount = entry
-        for key in (key_a, key_b):
-            _require(isinstance(key, str), f"bad edge endpoint: {key!r}", path)
-            _require(key in graph, f"edge names unlisted vertex: {key!r}", path)
-        _require(type(amount) is int and amount >= 0,
-                 f"bad edge amount: {amount!r}", path)
-        a = graph.node_id(key_a)
-        b = graph.node_id(key_b)
-        _require(a != b, f"self-loop on vertex {key_a!r}", path)
-        _require(not graph.has_edge(a, b),
-                 f"duplicate edge {key_a!r} - {key_b!r}", path)
-        graph.record_edge(a, b, amount)
+        if not isinstance(key_a, str):
+            problem = f"bad edge endpoint: {key_a!r}"
+        elif (a := ids.get(key_a)) is None:
+            problem = f"edge names unlisted vertex: {key_a!r}"
+        elif not isinstance(key_b, str):
+            problem = f"bad edge endpoint: {key_b!r}"
+        elif (b := ids.get(key_b)) is None:
+            problem = f"edge names unlisted vertex: {key_b!r}"
+        elif type(amount) is not int or amount < 0:
+            problem = f"bad edge amount: {amount!r}"
+        elif a == b:
+            problem = f"self-loop on vertex {key_a!r}"
+        elif insert(a, b, amount):
+            continue
+        else:
+            problem = f"duplicate edge {key_a!r} - {key_b!r}"
+        raise ParseError(problem, path=path)
     return graph
 
 
@@ -157,38 +168,48 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         lines.pop()
     _require(bool(lines), "empty file", path, line=1, offset=1)
     header = lines[0]
-    _require(header.startswith("*Vertices ") and header[10:].isdigit(),
+    _require(header.startswith("*Vertices ") and header[10:].isascii()
+             and header[10:].isdigit(),
              f"expected '*Vertices <n>', got {header!r}", path, line=1, offset=1)
     count = int(header[10:])
     _require(len(lines) >= count + 2,
              f"file ends inside the {count}-vertex section", path,
              line=len(lines), offset=1)
     graph = InteractionGraph()
+    ids = graph._ids
+    vertex_line = _PAJEK_VERTEX.match
     for idx in range(1, count + 1):
-        match = _PAJEK_VERTEX.match(lines[idx])
-        _require(match is not None, f"bad vertex line: {lines[idx]!r}",
-                 path, line=idx + 1, offset=1)
-        _require(int(match.group(1)) == idx,
-                 f"vertex IDs must run 1..{count}; got {match.group(1)}",
-                 path, line=idx + 1, offset=1)
-        key = match.group(2)
-        _require(bool(key) and key not in graph,
-                 f"empty or duplicate vertex key: {key!r}", path,
-                 line=idx + 1, offset=len(match.group(1)) + 2)
-        graph.intern_node(key)
+        match = vertex_line(lines[idx])
+        offset = 1
+        if match is None:
+            problem = f"bad vertex line: {lines[idx]!r}"
+        elif int(match.group(1)) != idx:
+            problem = f"vertex IDs must run 1..{count}; got {match.group(1)}"
+        elif not (key := match.group(2)) or key in ids:
+            problem = f"empty or duplicate vertex key: {key!r}"
+            offset = len(match.group(1)) + 2
+        else:
+            graph.intern_node(key)
+            continue
+        raise ParseError(problem, path=path, line=idx + 1, offset=offset)
     _require(lines[count + 1] == "*Edges",
              f"expected '*Edges', got {lines[count + 1]!r}", path,
              line=count + 2, offset=1)
+    edge_line = _PAJEK_EDGE.match
+    insert = graph.insert_edge
     for idx in range(count + 2, len(lines)):
-        match = _PAJEK_EDGE.match(lines[idx])
-        _require(match is not None, f"bad edge line: {lines[idx]!r}",
-                 path, line=idx + 1, offset=1)
-        a, b, amount = (int(g) for g in match.groups())
-        for node in (a, b):
-            _require(1 <= node <= count, f"edge names unknown vertex {node}",
-                     path, line=idx + 1, offset=1)
-        _require(a != b, f"self-loop on vertex {a}", path, line=idx + 1, offset=1)
-        _require(not graph.has_edge(a, b), f"duplicate edge {a} - {b}",
-                 path, line=idx + 1, offset=1)
-        graph.record_edge(a, b, amount)
+        match = edge_line(lines[idx])
+        if match is None:
+            raise ParseError(f"bad edge line: {lines[idx]!r}", path=path,
+                             line=idx + 1, offset=1)
+        a, b, amount = map(int, match.groups())
+        if not (0 < a <= count and 0 < b <= count):
+            problem = f"edge names unknown vertex {b if 0 < a <= count else a}"
+        elif a == b:
+            problem = f"self-loop on vertex {a}"
+        elif insert(a, b, amount):
+            continue
+        else:
+            problem = f"duplicate edge {a} - {b}"
+        raise ParseError(problem, path=path, line=idx + 1, offset=1)
     return graph

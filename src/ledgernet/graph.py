@@ -161,9 +161,6 @@ class InteractionGraph:
             raise LookupError(f"node {node} not in graph")
         return self.adj[node]
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
     def record_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> None:
         """Add the unordered edge {a, b} or fold more volume into it."""
         if a == b:
@@ -176,6 +173,16 @@ class InteractionGraph:
             self.adj[b].add(a)
         data.amount += amount
         data.tx_count += tx_count
+
+    def insert_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> bool:
+        """Add {a, b}, a != b, as a new edge; return False and change nothing
+        if the pair already has one.  One dict lookup, for bulk loaders."""
+        data = EdgeData(amount, tx_count)
+        if self.edges.setdefault((a, b) if a < b else (b, a), data) is not data:
+            return False
+        self.adj[a].add(b)
+        self.adj[b].add(a)
+        return True
 
     def add_transaction(self, tx: Transaction) -> None:
         """Apply one transaction (see ``add_transfer``)."""

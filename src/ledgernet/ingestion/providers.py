@@ -104,7 +104,7 @@ class FixtureProvider(BlockProvider):
         name = path.name
         if name.startswith("block_") and name.endswith(".json"):
             body = name[len("block_"):-len(".json")]
-            if body.isdigit():
+            if body.isascii() and body.isdigit():
                 return int(body)
         return None
 

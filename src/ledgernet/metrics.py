@@ -16,12 +16,14 @@ import math
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _NODE_CHUNK = 256
 # Sources per multi-source BFS batch.  Each node holds up to three bitsets of
@@ -295,7 +297,10 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
         report.max_degree_fraction_of_main_component = (
             report.degrees.max_degree / census.main_component_size)
 
-    executor = ThreadPoolExecutor(max_workers=worker_count) if worker_count > 1 else None
+    executor = None
+    if worker_count > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging too
+        executor = ThreadPoolExecutor(max_workers=worker_count)
     try:
         start = clock()
         if n:

@@ -196,6 +196,22 @@ def rewired_ring(n: int = 30, k: int = 4, fraction: float = 0.1,
     return graph_from_edges(n, final)
 
 
+def er_gnm_reference(n: int, m: int, seed: int) -> InteractionGraph:
+    """``generate_er_gnm`` written as a membership test then ``record_edge``:
+    the draws, node keys, edge order and adjacency-set insertion order that
+    the generator must keep."""
+    graph = InteractionGraph()
+    for i in range(1, n + 1):
+        graph.intern_node(f"v{i}")
+    rng = random.Random(seed)
+    while graph.edge_count < m:
+        a = rng.randrange(1, n + 1)
+        b = rng.randrange(1, n + 1)
+        if a != b and (min(a, b), max(a, b)) not in graph.edges:
+            graph.record_edge(a, b, amount=1, tx_count=1)
+    return graph
+
+
 def random_gnm_edge_set(rng: random.Random, n: int, m: int) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     while len(edges) < m:

@@ -59,6 +59,20 @@ class TestGenerateErGnm:
         export_pajek(again, second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("n, m, seed", [
+        (0, 0, 0), (2, 1, 3), (5, 10, 0), (40, 780, 11), (40, 770, 12),
+        (300, 1200, 7), (1000, 2000, 99),
+    ])
+    def test_matches_the_record_edge_loop(self, n, m, seed):
+        g = generate_er_gnm(ErSpec(n, m, seed))
+        ref = oracles.er_gnm_reference(n, m, seed)
+        assert g.keys == ref.keys
+        assert g._ids == ref._ids
+        assert list(g.edges.items()) == list(ref.edges.items())
+        # Equal sets can iterate in different orders; BFS and clustering
+        # walk these sets, so their iteration order must match too.
+        assert [list(s) for s in g.adj] == [list(s) for s in ref.adj]
+
     def test_different_seeds_differ(self):
         a = generate_er_gnm(ErSpec(50, 100, seed=1))
         b = generate_er_gnm(ErSpec(50, 100, seed=2))

@@ -78,6 +78,19 @@ class TestDownload:
         assert doc["config"]["chain"] == "ethereum"
         assert "downloaded 10 blocks" in capsys.readouterr().out
 
+    def test_chunk_size_and_slack_default_to_the_download_constants(
+            self, fixture_dir, tmp_path):
+        from ledgernet.ingestion.download import DEFAULT_CHUNK_SIZE, DEFAULT_SLACK
+
+        out = tmp_path / "out"
+        assert run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       "--from-block", 0, "--to-block", 9, "--rate-limit", 0,
+                       "--output-dir", out) == 0
+        config = read_json(out / "download_summary.json")["config"]
+        assert (config["chunk_size"], config["slack"]) == (DEFAULT_CHUNK_SIZE,
+                                                           DEFAULT_SLACK)
+        assert read_json(out / "checkpoint.json")["chunk_size"] == DEFAULT_CHUNK_SIZE
+
     def test_rerun_is_a_no_op(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -151,6 +164,17 @@ class TestDownload:
         doc = read_json(out / "download_summary.json")
         assert doc["block_range"] == {"first": 3, "last": 6}
         assert sorted(chunk_bytes(out)) == ["chunk_3_4.ndjson", "chunk_5_6.ndjson"]
+
+    def test_fixture_name_with_non_ascii_digits_is_ignored(self, fixture_dir,
+                                                          tmp_path, capsys):
+        # "\u00b2".isdigit() is true, but int() rejects it.
+        (fixture_dir / "block_\u00b2\u00b2.json").write_text("{}")
+        code = run_cli("download", "--chain", "ethereum",
+                       "--fixture", fixture_dir,
+                       "--from-time", 250, "--to-time", 650,
+                       "--chunk-size", 2, "--output-dir", tmp_path / "out")
+        assert code == 0
+        assert "covers blocks 3..6" in capsys.readouterr().out
 
     def test_interval_after_tip_fails(self, fixture_dir, tmp_path, capsys):
         code = run_cli("download", "--chain", "ethereum",
@@ -375,6 +399,17 @@ class TestAnalyze:
         assert run_cli("analyze", "--graph", bad) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["graph.json", "graph.pajek"])
+    def test_graph_that_is_not_utf8_exits_2_with_one_line(self, tmp_path,
+                                                          capsys, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe{}")
+        assert run_cli("analyze", "--graph", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot read graph file: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_existing_output_is_kept(self, built, capsys):
         run_cli("analyze", "--graph", built / "graph.json")
         before = (built / "metrics.json").read_bytes()
@@ -461,6 +496,17 @@ class TestCompare:
         assert verdict["acc_threshold"] == 10.0
         assert verdict["aspl_threshold"] == 1.1
 
+    @pytest.mark.parametrize("flag", ["--acc-threshold", "--aspl-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, built, capsys, flag,
+                                                 value):
+        assert run_cli("compare", "--graph", built / "graph.json",
+                       f"{flag}={value}") == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {flag} must be a finite number, "
+                       f"got {float(value)}\n")
+        assert not (built / "comparison.json").exists()
+
     def test_infinite_acc_ratio_is_strict_json(self, tmp_path, capsys):
         from ledgernet.formats import export_json
         from ledgernet.graph import InteractionGraph
@@ -498,9 +544,38 @@ class TestReport:
         assert "metrics: 6 nodes" in out
         assert "comparison:" in out
 
+    @pytest.mark.parametrize("name", ["metrics.json", "comparison.json",
+                                      "checkpoint.json"])
+    @pytest.mark.parametrize("content", [b'{"node_count": 6, "edg', b"\xff\xfe",
+                                         b"[1, 2]"])
+    def test_corrupt_artifact_exits_2_with_one_line(self, tmp_path, capsys,
+                                                    name, content):
+        (tmp_path / name).write_bytes(content)
+        assert run_cli("report", "--dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(tmp_path / name) in err
+        assert err.count("\n") == 1
+
     def test_empty_directory(self, tmp_path, capsys):
         assert run_cli("report", "--dir", tmp_path) == 0
         assert "no pipeline artifacts found" in capsys.readouterr().out
+
+
+class TestWriteJson:
+    def test_unserialisable_document_leaves_no_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"ratio": float("nan")})
+        assert not path.exists()
+
+    def test_unserialisable_document_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"ratio": 1.5})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"ratio": float("inf")})
+        assert path.read_bytes() == before == b'{\n  "ratio": 1.5\n}\n'
 
 
 class TestEntryPoints:
@@ -522,15 +597,28 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert "usage:" in result.stdout
 
-    def test_importing_the_cli_does_not_load_requests(self):
+    def test_importing_the_cli_does_not_load_requests(self, tmp_path):
         import ledgernet
 
         src = str(Path(ledgernet.__file__).parent.parent)
-        code = "import sys, ledgernet.cli; print('requests' in sys.modules)"
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"vertices":["A","B","C"],'
+                         '"edges":[["A","B",1],["B","C",2]]}\n')
+        # The analysis commands load no download code, and with one worker
+        # no thread pool.
+        code = ("import sys, ledgernet.cli as cli\n"
+                "names = ('requests', 'ledgernet.ingestion', 'concurrent.futures')\n"
+                "print([n in sys.modules for n in names])\n"
+                "for command in ('analyze', 'compare'):\n"
+                f"    assert cli.main([command, '--graph', {str(graph)!r},\n"
+                "                     '--workers', '1']) == 0\n"
+                "print([n in sys.modules for n in names])\n")
         result = subprocess.run([sys.executable, "-c", code],
                                 env=dict(os.environ, PYTHONPATH=src),
                                 capture_output=True, text=True, timeout=60)
-        assert result.stdout.strip() == "False", result.stderr
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == lines[-1] == "[False, False, False]", result.stdout
 
 
 class TestInterrupt:

@@ -116,6 +116,14 @@ class TestImportGraph:
         with pytest.raises(ParseError, match="absent.pajek"):
             import_graph(path, "pajek")
 
+    @pytest.mark.parametrize("fmt", ["json", "pajek"])
+    def test_file_that_is_not_utf8_names_path(self, tmp_path, fmt):
+        path = tmp_path / f"g.{fmt}"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="cannot read graph file") as info:
+            import_graph(path)
+        assert info.value.path == path
+
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"vertices":[\n  "A",,\n]}')
@@ -124,40 +132,76 @@ class TestImportGraph:
         assert info.value.line == 2
         assert info.value.offset is not None
 
-    @pytest.mark.parametrize("body, bad_line", [
-        ('*Vertices x\n*Edges\n', 1),
-        ('*Vertices 2\n1 "A"\n*Edges\n', 3),
-        ('*Vertices 1\n2 "A"\n*Edges\n', 2),
-        ('*Vertices 2\n1 "A"\n2 "A"\n*Edges\n', 3),
-        ('*Vertices 2\n1 "A"\n2 "B"\nedges\n', 4),
-        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 3 1\n', 5),
-        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 1 1\n', 5),
-        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 1\n2 1 9\n', 6),
-        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2\n', 5),
-    ])
-    def test_pajek_errors_carry_line_numbers(self, tmp_path, body, bad_line):
+    PAJEK_ERRORS = [
+        ('*Vertices x\n*Edges\n', 1, 1, "expected '*Vertices <n>', got '*Vertices x'"),
+        ('*Vertices 2\n1 "A"\n*Edges\n', 3, 1, "file ends inside the 2-vertex section"),
+        ('*Vertices 1\n2 "A"\n*Edges\n', 2, 1, "vertex IDs must run 1..1; got 2"),
+        ('*Vertices 2\n1 "A"\n2 "A"\n*Edges\n', 3, 3,
+         "empty or duplicate vertex key: 'A'"),
+        ('*Vertices 1\n1 ""\n*Edges\n', 2, 3, "empty or duplicate vertex key: ''"),
+        ('*Vertices 1\n1 A\n*Edges\n', 2, 1, "bad vertex line: '1 A'"),
+        ('*Vertices 2\n1 "A"\n2 "B"\nedges\n', 4, 1, "expected '*Edges', got 'edges'"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 3 1\n', 5, 1,
+         "edge names unknown vertex 3"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 1 1\n', 5, 1, "self-loop on vertex 1"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 1\n2 1 9\n', 6, 1,
+         "duplicate edge 2 - 1"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2\n', 5, 1, "bad edge line: '1 2'"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n3 1 1\n', 5, 1,
+         "edge names unknown vertex 3"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n0 2 1\n', 5, 1,
+         "edge names unknown vertex 0"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 1 1\n', 5, 1,
+         "bad edge line: '1 2 1 1'"),
+        # str.isdigit() accepts "²", which int() rejects.
+        ('*Vertices \u00b2\n*Edges\n', 1, 1, "expected '*Vertices <n>', got '*Vertices \u00b2'"),
+    ]
+
+    @pytest.mark.parametrize("body, bad_line, offset, message", PAJEK_ERRORS,
+                             ids=[f"{row[0]}-{row[1]}" for row in PAJEK_ERRORS])
+    def test_pajek_errors_carry_line_numbers(self, tmp_path, body, bad_line,
+                                             offset, message):
         path = tmp_path / "g.pajek"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError) as info:
             import_graph(path, "pajek")
         assert info.value.line == bad_line
+        assert info.value.offset == offset
+        assert str(info.value) == f"{path}: line {bad_line}, column {offset}: {message}"
 
-    @pytest.mark.parametrize("doc", [
-        '[]',
-        '{"vertices":["A","A"],"edges":[]}',
-        '{"vertices":["A"],"edges":[["A","A",1]]}',
-        '{"vertices":["A","B"],"edges":[["A","B",1],["B","A",2]]}',
-        '{"vertices":["A","B"],"edges":[["A","B",1.5]]}',
-        '{"vertices":["A","B"],"edges":[["A","B"]]}',
-        '{"vertices":["A"],"edges":[],"extra":1}',
-        '{"chain":"solana","vertices":[],"edges":[]}',
-        '{"vertices":[""],"edges":[]}',
-    ])
-    def test_json_semantic_errors(self, tmp_path, doc):
+    JSON_ERRORS = [
+        ('[]', "top-level value is not an object"),
+        ('{"vertices":["A","A"],"edges":[]}', "duplicate vertex: 'A'"),
+        ('{"vertices":["A"],"edges":[["A","A",1]]}', "self-loop on vertex 'A'"),
+        ('{"vertices":["A","B"],"edges":[["A","B",1],["B","A",2]]}',
+         "duplicate edge 'B' - 'A'"),
+        ('{"vertices":["A","B"],"edges":[["A","B",1.5]]}', "bad edge amount: 1.5"),
+        ('{"vertices":["A","B"],"edges":[["A","B"]]}',
+         "edge is not a [key, key, amount] triple: ['A', 'B']"),
+        ('{"vertices":["A"],"edges":[],"extra":1}', "unknown keys: ['extra']"),
+        ('{"chain":"solana","vertices":[],"edges":[]}', "unknown chain: 'solana'"),
+        ('{"vertices":[""],"edges":[]}', "bad vertex key: ''"),
+        ('{"vertices":["A",1],"edges":[]}', "bad vertex key: 1"),
+        ('{"vertices":["A","B"],"edges":[["A","B",true]]}', "bad edge amount: True"),
+        ('{"vertices":["A","B"],"edges":[["A","B",-1]]}', "bad edge amount: -1"),
+        ('{"vertices":["A","B"],"edges":[["A",2,1]]}', "bad edge endpoint: 2"),
+        ('{"vertices":["A","B"],"edges":[["A",["B"],1]]}', "bad edge endpoint: ['B']"),
+        ('{"vertices":["A","B"],"edges":[["X",["B"],1]]}',
+         "edge names unlisted vertex: 'X'"),
+        ('{"vertices":["A","B"],"edges":["AB1"]}',
+         "edge is not a [key, key, amount] triple: 'AB1'"),
+        ('{"vertices":["A","B"],"edges":[["A","X",1]]}',
+         "edge names unlisted vertex: 'X'"),
+    ]
+
+    @pytest.mark.parametrize("doc, message", JSON_ERRORS,
+                             ids=[row[0] for row in JSON_ERRORS])
+    def test_json_semantic_errors(self, tmp_path, doc, message):
         path = tmp_path / "g.json"
         path.write_text(doc)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             import_graph(path, "json")
+        assert str(info.value) == f"{path}: {message}"
 
     def test_either_endpoint_order_is_read_back_normalized(self, tmp_path):
         path = tmp_path / "g.pajek"

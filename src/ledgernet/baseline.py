@@ -52,12 +52,12 @@ def generate_er_gnm(spec: ErSpec) -> InteractionGraph:
         graph.intern_node(f"v{i}")
     draw = random.Random(spec.seed).randrange
     insert = graph.insert_edge
-    edges = graph.edges
-    while len(edges) < spec.m:
+    added = 0
+    while added < spec.m:
         a = draw(1, spec.n + 1)
         b = draw(1, spec.n + 1)
         if a != b:
-            insert(a, b, 1, 1)
+            added += insert(a, b, 1, 1)
     return graph
 
 

@@ -235,7 +235,8 @@ def _write_json(path, doc) -> None:
         fh.write(payload)
 
 
-def _read_report(path) -> dict:
+def _read_report(path, section: str) -> tuple[dict, dict]:
+    """A report and its nested ``section`` object ({} when absent)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -243,7 +244,11 @@ def _read_report(path) -> dict:
         raise ParseError(f"corrupt report: {exc}", path=path) from exc
     if not isinstance(doc, dict):
         raise ParseError("corrupt report: not a JSON object", path=path)
-    return doc
+    nested = doc.get(section, {})
+    if not isinstance(nested, dict):
+        raise ParseError(f"corrupt report: {section!r} is not a JSON object",
+                         path=path)
+    return doc, nested
 
 
 def _load_graph(args):
@@ -534,18 +539,17 @@ def cmd_report(args) -> int:
     metrics_path = root / "metrics.json"
     if metrics_path.exists():
         found = True
-        doc = _read_report(metrics_path)
+        doc, components = _read_report(metrics_path, "components")
         print(f"metrics: {doc.get('node_count')} nodes, "
               f"{doc.get('edge_count')} edges, "
-              f"{doc.get('components', {}).get('count')} components, "
+              f"{components.get('count')} components, "
               f"ACC {doc.get('graph_acc')}, "
               f"main-component ASPL {doc.get('main_component_aspl')}")
 
     comparison_path = root / "comparison.json"
     if comparison_path.exists():
         found = True
-        doc = _read_report(comparison_path)
-        verdict = doc.get("verdict", {})
+        _, verdict = _read_report(comparison_path, "verdict")
         answer = "small-world" if verdict.get("is_small_world") else "not small-world"
         acc_ratio = ("inf" if verdict.get("acc_ratio_infinite")
                      else verdict.get("acc_ratio"))

@@ -18,8 +18,9 @@ from .graph import Chain, InteractionGraph
 FORMAT_JSON = "json"
 FORMAT_PAJEK = "pajek"
 
-_PAJEK_VERTEX = re.compile(r'^(\d+) "(.*)"$')
-_PAJEK_EDGE = re.compile(r"^(\d+) (\d+) (\d+)$")
+# [0-9], not \d: \d and int() also take non-ASCII decimal digits.
+_PAJEK_VERTEX = re.compile(r'^([0-9]+) "(.*)"$')
+_PAJEK_EDGE = re.compile(r"^([0-9]+) ([0-9]+) ([0-9]+)$")
 
 
 def normalize_format(fmt: str) -> str:

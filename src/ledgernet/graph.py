@@ -6,6 +6,10 @@ pair increase that edge's transfer total and transaction count instead of
 adding parallel edges.  Directed activity (how many transactions a node sent
 or received) is kept in per-node counters, separate from the undirected
 structure.
+
+Edges live in one store: ``adj[a]`` maps each neighbour ``b`` to the pair's
+``EdgeData``, and both ends hold the same object (``adj[a][b] is adj[b][a]``).
+Per-pair views (``edges``, ``edge_triples``) are built from it on request.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from .errors import AddressError
 
@@ -92,7 +96,7 @@ class Transaction:
             raise ValueError(f"negative block height: {self.block_height}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeData:
     """Aggregate of all transactions between one unordered pair of nodes."""
 
@@ -112,10 +116,9 @@ class InteractionGraph:
         self.chain = Chain(chain) if chain is not None else None
         self._ids: dict[str, int] = {}
         self.keys: list[str | None] = [None]
-        self.adj: list[set[int]] = [set()]
+        self.adj: list[dict[int, EdgeData]] = [{}]
         self.in_tx: list[int] = [0]
         self.out_tx: list[int] = [0]
-        self.edges: dict[tuple[int, int], EdgeData] = {}
 
     @property
     def node_count(self) -> int:
@@ -123,7 +126,14 @@ class InteractionGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
+
+    @property
+    def edges(self) -> dict[tuple[int, int], EdgeData]:
+        """``{(low, high): EdgeData}`` sorted by pair, built on each access:
+        bind it once rather than reading it in a loop."""
+        adj = self.adj
+        return {(a, b): adj[a][b] for a, b, _ in self.edge_triples()}
 
     def node_ids(self) -> range:
         return range(1, self.node_count + 1)
@@ -135,7 +145,7 @@ class InteractionGraph:
             node = len(self.keys)
             self._ids[key] = node
             self.keys.append(key)
-            self.adj.append(set())
+            self.adj.append({})
             self.in_tx.append(0)
             self.out_tx.append(0)
         return node
@@ -156,32 +166,28 @@ class InteractionGraph:
             raise LookupError(f"node {node} not in graph")
         return len(self.adj[node])
 
-    def neighbors(self, node: int) -> set[int]:
+    def neighbors(self, node: int) -> KeysView[int]:
         if not 1 <= node <= self.node_count:
             raise LookupError(f"node {node} not in graph")
-        return self.adj[node]
+        return self.adj[node].keys()
 
     def record_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> None:
         """Add the unordered edge {a, b} or fold more volume into it."""
         if a == b:
             raise ValueError(f"self-loop on node {a}")
-        pair = (a, b) if a < b else (b, a)
-        data = self.edges.get(pair)
+        data = self.adj[a].get(b)
         if data is None:
-            data = self.edges[pair] = EdgeData()
-            self.adj[a].add(b)
-            self.adj[b].add(a)
+            data = self.adj[a][b] = self.adj[b][a] = EdgeData()
         data.amount += amount
         data.tx_count += tx_count
 
     def insert_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> bool:
         """Add {a, b}, a != b, as a new edge; return False and change nothing
         if the pair already has one.  One dict lookup, for bulk loaders."""
-        data = EdgeData(amount, tx_count)
-        if self.edges.setdefault((a, b) if a < b else (b, a), data) is not data:
+        row = self.adj[a]
+        if b in row:
             return False
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        row[b] = self.adj[b][a] = EdgeData(amount, tx_count)
         return True
 
     def add_transaction(self, tx: Transaction) -> None:
@@ -214,7 +220,8 @@ class InteractionGraph:
 
     def edge_triples(self) -> list[tuple[int, int, int]]:
         """Edges as (low_id, high_id, aggregated_amount), sorted by ID pair."""
-        return [(a, b, self.edges[(a, b)].amount) for a, b in sorted(self.edges)]
+        return [(a, b, row[b].amount) for a, row in enumerate(self.adj)
+                for b in sorted(row) if a < b]
 
 
 def build_graph(transactions: Iterable[Transaction],

@@ -127,44 +127,32 @@ def degree_distributions(graph: InteractionGraph) -> DegreeReport:
 
 def connected_components(graph: InteractionGraph,
                          ) -> tuple[ComponentCensus, list[int | None]]:
-    """Union-find over the edge set.
+    """Breadth-first search from each node not yet reached, in ID order.
 
     Returns the census and a per-node label list (index 0 unused); labels
     number components 0, 1, ... in decreasing size, ties broken by smallest
     member ID, so label 0 is always the main component.
     """
     n = graph.node_count
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-
-    roots: dict[int, int] = {}
+    adj = graph.adj
+    root = [0] * (n + 1)  # a node's root is its component's smallest ID
+    size: dict[int, int] = {}
     for v in graph.node_ids():
-        root = find(v)
-        if root not in roots:
-            roots[root] = v
-    ordered = sorted(roots, key=lambda r: (-size[r], roots[r]))
-    label_of_root = {root: i for i, root in enumerate(ordered)}
-    labels: list[int | None] = [None] * (n + 1)
-    for v in graph.node_ids():
-        labels[v] = label_of_root[find(v)]
+        if not root[v]:
+            root[v] = v
+            queue = [v]
+            for u in queue:  # the loop also visits what it appends
+                for w in adj[u]:
+                    if not root[w]:
+                        root[w] = v
+                        queue.append(w)
+            size[v] = len(queue)
+    ordered = sorted(size, key=lambda r: (-size[r], r))
+    label_of_root = {r: i for i, r in enumerate(ordered)}
+    labels: list[int | None] = [None]
+    labels += [label_of_root[root[v]] for v in graph.node_ids()]
 
-    sizes = [size[root] for root in ordered]
+    sizes = [size[r] for r in ordered]
     census = ComponentCensus(count=len(sizes), sizes=sizes)
     if sizes:
         census.main_component_size = sizes[0]
@@ -181,7 +169,7 @@ def local_clustering(graph: InteractionGraph, node: int) -> float:
     d = len(neighbors)
     if d < 2:
         return 0.0
-    links = sum(len(graph.adj[v] & neighbors) for v in neighbors) // 2
+    links = sum(len(graph.adj[v].keys() & neighbors) for v in neighbors) // 2
     return 2.0 * links / (d * (d - 1))
 
 
@@ -213,7 +201,7 @@ def average_clustering(graph: InteractionGraph,
     return _mean_clustering(_local_clusterings(graph, nodes, executor))
 
 
-def _distance_sum(adj: list[set[int]], sources: Sequence[int]) -> int:
+def _distance_sum(adj: list[dict[int, object]], sources: Sequence[int]) -> int:
     """Sum of BFS distances from the distinct ``sources`` to all they reach.
 
     Multi-source BFS (Then et al., VLDB 2014): bit i of a node's bitsets

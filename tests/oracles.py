@@ -18,7 +18,8 @@ from ledgernet.graph import (
 
 
 def adjacency(graph: InteractionGraph) -> dict[int, set[int]]:
-    """Rebuild adjacency from the edge dictionary alone."""
+    """Rebuild adjacency from the pair list alone (``graph.edges`` is built
+    on each access, so it is read once per call)."""
     adj: dict[int, set[int]] = {v: set() for v in graph.node_ids()}
     for a, b in graph.edges:
         adj[a].add(b)
@@ -51,8 +52,7 @@ def main_component(graph: InteractionGraph) -> set[int]:
     return max(dfs_components(graph), key=lambda c: (len(c), -min(c)))
 
 
-def naive_local_clustering(graph: InteractionGraph, node: int) -> float:
-    adj = adjacency(graph)
+def naive_local_clustering(adj: dict[int, set[int]], node: int) -> float:
     neighbors = sorted(adj[node])
     d = len(neighbors)
     if d < 2:
@@ -67,7 +67,8 @@ def naive_local_clustering(graph: InteractionGraph, node: int) -> float:
 
 def naive_average_clustering(graph: InteractionGraph, nodes=None) -> float:
     nodes = list(graph.node_ids()) if nodes is None else list(nodes)
-    return sum(naive_local_clustering(graph, v) for v in nodes) / len(nodes)
+    adj = adjacency(graph)
+    return sum(naive_local_clustering(adj, v) for v in nodes) / len(nodes)
 
 
 def bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
@@ -196,19 +197,31 @@ def rewired_ring(n: int = 30, k: int = 4, fraction: float = 0.1,
     return graph_from_edges(n, final)
 
 
+def er_gnm_draws(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """The pairs ``generate_er_gnm`` must accept, as drawn, in draw order:
+    rejection sampling on a pair set of its own."""
+    rng = random.Random(seed)
+    pairs: set[tuple[int, int]] = set()
+    draws = []
+    while len(pairs) < m:
+        a = rng.randrange(1, n + 1)
+        b = rng.randrange(1, n + 1)
+        pair = (min(a, b), max(a, b))
+        if a != b and pair not in pairs:
+            pairs.add(pair)
+            draws.append((a, b))
+    return draws
+
+
 def er_gnm_reference(n: int, m: int, seed: int) -> InteractionGraph:
-    """``generate_er_gnm`` written as a membership test then ``record_edge``:
-    the draws, node keys, edge order and adjacency-set insertion order that
-    the generator must keep."""
+    """``generate_er_gnm`` written as ``er_gnm_draws`` then ``record_edge``:
+    the draws, node keys and adjacency insertion order that the generator
+    must keep."""
     graph = InteractionGraph()
     for i in range(1, n + 1):
         graph.intern_node(f"v{i}")
-    rng = random.Random(seed)
-    while graph.edge_count < m:
-        a = rng.randrange(1, n + 1)
-        b = rng.randrange(1, n + 1)
-        if a != b and (min(a, b), max(a, b)) not in graph.edges:
-            graph.record_edge(a, b, amount=1, tx_count=1)
+    for a, b in er_gnm_draws(n, m, seed):
+        graph.record_edge(a, b, amount=1, tx_count=1)
     return graph
 
 

@@ -69,8 +69,9 @@ class TestGenerateErGnm:
         assert g.keys == ref.keys
         assert g._ids == ref._ids
         assert list(g.edges.items()) == list(ref.edges.items())
-        # Equal sets can iterate in different orders; BFS and clustering
-        # walk these sets, so their iteration order must match too.
+        # Equal neighbour maps can iterate in different orders, since a dict
+        # keeps insertion order; BFS and clustering walk these maps, so the
+        # order must match too.
         assert [list(s) for s in g.adj] == [list(s) for s in ref.adj]
 
     def test_different_seeds_differ(self):

@@ -19,6 +19,10 @@ ENV_VARS = ("LEDGERNET_ENDPOINT", "LEDGERNET_API_KEY", "LEDGERNET_RATE_LIMIT",
 
 VOLATILE_KEYS = ("generated_at", "timings_seconds")
 
+# The src directory this package was imported from: child processes get it
+# as PYTHONPATH, since the test settings' pythonpath is not inherited.
+SRC = str(Path(cli.__file__).parents[1])
+
 
 @pytest.fixture(autouse=True)
 def clean_environment(monkeypatch):
@@ -547,7 +551,9 @@ class TestReport:
     @pytest.mark.parametrize("name", ["metrics.json", "comparison.json",
                                       "checkpoint.json"])
     @pytest.mark.parametrize("content", [b'{"node_count": 6, "edg', b"\xff\xfe",
-                                         b"[1, 2]"])
+                                         b"[1, 2]",
+                                         b'{"components": [], "verdict": 3}',
+                                         b'{"components": 3, "verdict": []}'])
     def test_corrupt_artifact_exits_2_with_one_line(self, tmp_path, capsys,
                                                     name, content):
         (tmp_path / name).write_bytes(content)
@@ -593,14 +599,12 @@ class TestEntryPoints:
 
     def test_module_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "ledgernet", "--help"],
+                                env=dict(os.environ, PYTHONPATH=SRC),
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert "usage:" in result.stdout
 
     def test_importing_the_cli_does_not_load_requests(self, tmp_path):
-        import ledgernet
-
-        src = str(Path(ledgernet.__file__).parent.parent)
         graph = tmp_path / "graph.json"
         graph.write_text('{"vertices":["A","B","C"],'
                          '"edges":[["A","B",1],["B","C",2]]}\n')
@@ -614,7 +618,7 @@ class TestEntryPoints:
                 "                     '--workers', '1']) == 0\n"
                 "print([n in sys.modules for n in names])\n")
         result = subprocess.run([sys.executable, "-c", code],
-                                env=dict(os.environ, PYTHONPATH=src),
+                                env=dict(os.environ, PYTHONPATH=SRC),
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
@@ -632,7 +636,8 @@ class TestInterrupt:
                 "--from-block", "0", "--to-block", "9", "--chunk-size", "1",
                 "--workers", "1", "--rate-limit", "2",
                 "--output-dir", str(out)]
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                                stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
         checkpoint_path = out / "checkpoint.json"
         deadline = time.monotonic() + 30

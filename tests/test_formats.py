@@ -155,6 +155,10 @@ class TestImportGraph:
          "bad edge line: '1 2 1 1'"),
         # str.isdigit() accepts "²", which int() rejects.
         ('*Vertices \u00b2\n*Edges\n', 1, 1, "expected '*Vertices <n>', got '*Vertices \u00b2'"),
+        # \d and int() accept Arabic-Indic digits; the format takes ASCII only.
+        ('*Vertices 1\n\u0661 "A"\n*Edges\n', 2, 1, "bad vertex line: '\u0661 \"A\"'"),
+        ('*Vertices 2\n1 "A"\n2 "B"\n*Edges\n\u0661 2 \u0663\n', 5, 1,
+         "bad edge line: '\u0661 2 \u0663'"),
     ]
 
     @pytest.mark.parametrize("body, bad_line, offset, message", PAJEK_ERRORS,

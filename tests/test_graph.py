@@ -1,14 +1,19 @@
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from ledgernet import (
     AddressError,
     Chain,
+    ErSpec,
     InteractionGraph,
     Transaction,
     build_graph,
     canonicalize_address,
+    generate_er_gnm,
+    import_graph,
 )
 
 import oracles
@@ -232,3 +237,136 @@ class TestInteractionGraph:
     def test_build_graph_records_chain(self):
         g = build_graph([tx(A, B)], "ethereum")
         assert g.chain is Chain.ETHEREUM
+
+
+def random_draws(rng, n, count):
+    """Node pairs in 1..n, either orientation, with repeats and self-loops."""
+    return [(rng.randrange(1, n + 1), rng.randrange(1, n + 1)) for _ in range(count)]
+
+
+def pair_set(draws):
+    return {(min(a, b), max(a, b)) for a, b in draws if a != b}
+
+
+def from_transfers(rng, tmp_path):
+    keys = [f"k{i}" for i in range(rng.randrange(2, 40))]
+    ids = {}
+    pairs = set()
+    graph = InteractionGraph()
+    for _ in range(rng.randrange(150)):
+        sender = None if rng.random() < 0.1 else rng.choice(keys)
+        recipient = rng.choice(keys)
+        graph.add_transfer(sender, recipient, rng.randrange(100))
+        for key in (sender, recipient):
+            if key is not None:
+                ids.setdefault(key, len(ids) + 1)
+        if sender not in (None, recipient):
+            pairs.add(tuple(sorted((ids[sender], ids[recipient]))))
+    return graph, pairs
+
+
+def from_record_edge(rng, tmp_path):
+    n = rng.randrange(2, 40)
+    graph = InteractionGraph()
+    for i in range(n):
+        graph.intern_node(f"n{i}")
+    draws = random_draws(rng, n, rng.randrange(150))
+    for a, b in draws:
+        if a != b:
+            graph.record_edge(a, b, rng.randrange(100), 1)
+    return graph, pair_set(draws)
+
+
+def from_insert_edge(rng, tmp_path):
+    n = rng.randrange(2, 40)
+    graph = InteractionGraph()
+    for i in range(n):
+        graph.intern_node(f"n{i}")
+    draws = random_draws(rng, n, rng.randrange(150))
+    seen = set()
+    for a, b in draws:
+        if a != b:
+            pair = (min(a, b), max(a, b))
+            assert graph.insert_edge(a, b, rng.randrange(100)) is (pair not in seen)
+            seen.add(pair)
+    return graph, pair_set(draws)
+
+
+def from_json(rng, tmp_path):
+    n = rng.randrange(2, 40)
+    pairs = pair_set(random_draws(rng, n, rng.randrange(150)))
+    edges = [[f"n{b}", f"n{a}", 7] if rng.random() < 0.5 else [f"n{a}", f"n{b}", 7]
+             for a, b in pairs]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [f"n{i}" for i in range(1, n + 1)],
+                                "edges": edges}))
+    return import_graph(path), pairs
+
+
+def from_pajek(rng, tmp_path):
+    n = rng.randrange(2, 40)
+    pairs = pair_set(random_draws(rng, n, rng.randrange(150)))
+    lines = [f"*Vertices {n}"] + [f'{i} "n{i}"' for i in range(1, n + 1)]
+    lines.append("*Edges")
+    lines += [f"{b} {a} 7" if rng.random() < 0.5 else f"{a} {b} 7" for a, b in pairs]
+    path = tmp_path / "g.pajek"
+    path.write_text("\n".join(lines) + "\n")
+    return import_graph(path), pairs
+
+
+def from_er_gnm(rng, tmp_path):
+    n = rng.randrange(0, 40)
+    m = rng.randrange(0, n * (n - 1) // 2 + 1)
+    seed = rng.randrange(10 ** 6)
+    return (generate_er_gnm(ErSpec(n, m, seed)),
+            pair_set(oracles.er_gnm_draws(n, m, seed)))
+
+
+class TestOneStore:
+    """``adj`` is the graph's only per-pair store, whatever produced it."""
+
+    @pytest.mark.parametrize("produce", [from_transfers, from_record_edge,
+                                         from_insert_edge, from_json, from_pajek,
+                                         from_er_gnm])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_both_ends_share_one_edge_and_views_agree(self, tmp_path, produce, seed):
+        graph, pairs = produce(random.Random(seed), tmp_path)
+        adj = graph.adj
+        for a, row in enumerate(adj):
+            assert a not in row
+            for b, data in row.items():
+                assert adj[b][a] is data
+        assert graph.edge_count == len(graph.edge_triples()) == len(pairs)
+        edges = graph.edges
+        assert list(edges) == sorted(pairs)
+        assert [(a, b, data.amount) for (a, b), data in edges.items()] == \
+            graph.edge_triples()
+
+    @staticmethod
+    def traced_bytes_per_edge(build):
+        tracemalloc.start()
+        try:
+            graph = build()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return size / graph.edge_count
+
+    def test_ledger_graph_costs_at_most_260_bytes_per_edge(self):
+        rng = random.Random(5)
+        keys = ["0x%040x" % rng.getrandbits(160) for _ in range(2000)]
+        transfers = [(rng.choice(keys), rng.choice(keys), rng.randrange(10 ** 18))
+                     for _ in range(12000)]
+
+        def build():
+            graph = InteractionGraph(Chain.ETHEREUM)
+            for sender, recipient, amount in transfers:
+                graph.add_transfer(sender, recipient, amount)
+            assert graph.edge_count > 11_000
+            return graph
+
+        assert self.traced_bytes_per_edge(build) <= 260
+
+    def test_er_graph_costs_at_most_260_bytes_per_edge(self):
+        assert self.traced_bytes_per_edge(
+            lambda: generate_er_gnm(ErSpec(2000, 8000, seed=3))) <= 260

@@ -160,7 +160,6 @@ class ComparisonReport:
 
 
 def compare(subject_graph: InteractionGraph, *, seed: int = 0, samples: int = 1,
-            worker_count: int = 1,
             acc_threshold: float = DEFAULT_ACC_THRESHOLD,
             aspl_threshold: float = DEFAULT_ASPL_THRESHOLD,
             sample_sources: int | None = None) -> ComparisonReport:
@@ -169,16 +168,15 @@ def compare(subject_graph: InteractionGraph, *, seed: int = 0, samples: int = 1,
     Baseline sample i uses seed + i, so multi-sample runs stay reproducible
     from the one recorded seed.
     """
-    subject = analyze(subject_graph, worker_count,
-                      sample_sources=sample_sources, seed=seed)
+    subject = analyze(subject_graph, sample_sources=sample_sources, seed=seed)
     spec = ErSpec(n=subject.node_count, m=subject.edge_count,
                   seed=seed, samples=samples)
     seeds = [seed + i for i in range(samples)]
     baselines = []
     for sample_seed in seeds:
         er_graph = generate_er_gnm(ErSpec(spec.n, spec.m, sample_seed))
-        baselines.append(analyze(er_graph, worker_count,
-                                 sample_sources=sample_sources, seed=sample_seed))
+        baselines.append(analyze(er_graph, sample_sources=sample_sources,
+                                 seed=sample_seed))
     verdict = small_world_verdict(subject, baselines, acc_threshold, aspl_threshold)
     return ComparisonReport(subject=subject, baseline_spec=spec,
                             baseline_seeds=seeds, baselines=baselines,

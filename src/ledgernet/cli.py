@@ -95,6 +95,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"ledgernet {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    one_thread = "must be >= 1 but has no effect: analysis runs on one thread"
 
     def common(p):
         p.add_argument("--output-dir", default=".", metavar="DIR",
@@ -143,7 +144,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True, metavar="PATH")
     p.add_argument("--format", choices=[FORMAT_JSON, FORMAT_PAJEK],
                    help="graph file format (default: from file suffix)")
-    p.add_argument("--workers", type=int, default=None, metavar="N")
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help=one_thread)
     p.add_argument("--sample-sources", type=int, default=None, metavar="K",
                    help="estimate path lengths from K >= 1 BFS sources "
                         "instead of all")
@@ -163,7 +165,8 @@ def _build_parser() -> _Parser:
                    help="baseline graphs to average (default: 1)")
     p.add_argument("--acc-threshold", type=float, default=DEFAULT_ACC_THRESHOLD)
     p.add_argument("--aspl-threshold", type=float, default=DEFAULT_ASPL_THRESHOLD)
-    p.add_argument("--workers", type=int, default=None, metavar="N")
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help=one_thread)
     p.add_argument("--sample-sources", type=int, default=None, metavar="K")
     p.add_argument("--output", metavar="PATH",
                    help="report path (default: comparison.json beside the graph)")
@@ -178,20 +181,31 @@ def _build_parser() -> _Parser:
 
 
 def _setting(flag_value, env_name: str, file_config: dict, key: str,
-             default, cast):
-    """Resolve one setting: flag > environment > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name)
-    source = f"environment variable {env_name}"
-    if raw is None and key in file_config and file_config[key] is not None:
-        raw, source = file_config[key], f"config key {key!r}"
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {source}: {raw!r}") from exc
+             default, cast, valid=None, rule: str = ""):
+    """Resolve one setting: flag > environment > config file > default.
+
+    A given value that fails ``valid`` is a usage error naming its source:
+    the flag ``--<key>``, the variable or the config key.
+    """
+    value, source = flag_value, "--" + key.replace("_", "-")
+    if value is None:
+        raw = os.environ.get(env_name)
+        source = f"environment variable {env_name}"
+        if raw is None and file_config.get(key) is not None:
+            raw, source = file_config[key], f"config key {key!r}"
+        if raw is None:
+            return default
+        try:
+            value = cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad value for {source}: {raw!r}") from exc
+    if valid is not None and not valid(value):
+        raise UsageError(f"{source} must be {rule}, got {value!r}")
+    return value
+
+
+def _finite_non_negative(value) -> bool:
+    return math.isfinite(value) and value >= 0
 
 
 def _load_config_file(path) -> dict:
@@ -207,11 +221,11 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _workers(value) -> int:
-    count = (os.cpu_count() or 1) if value is None else value
-    if count < 1:
-        raise UsageError(f"--workers must be >= 1, got {count}")
-    return count
+def _workers(value: int | None) -> int | None:
+    """Check a --workers value; None stands for the command's default."""
+    if value is not None and value < 1:
+        raise UsageError(f"--workers must be >= 1, got {value}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -280,14 +294,18 @@ def cmd_download(args) -> int:
     api_key = _setting(args.api_key, ENV_API_KEY, file_config,
                        "api_key", None, str)
     rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, file_config,
-                          "rate_limit", DEFAULT_RATE_LIMIT, float)
+                          "rate_limit", DEFAULT_RATE_LIMIT, float,
+                          _finite_non_negative, "a finite number >= 0")
     retry_cap = _setting(args.retry_cap, ENV_RETRY_CAP, file_config,
-                         "retry_cap", None, int)
+                         "retry_cap", None, int, lambda cap: cap >= 1, ">= 1")
     backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, file_config,
-                            "backoff_base", DEFAULT_BACKOFF_BASE, float)
-    worker_count = _workers(args.workers)
+                            "backoff_base", DEFAULT_BACKOFF_BASE, float,
+                            _finite_non_negative, "a finite number >= 0")
+    worker_count = _workers(args.workers) or os.cpu_count() or 1
     if chunk_size < 1:
         raise UsageError(f"--chunk-size must be >= 1, got {chunk_size}")
+    if slack < 0:
+        raise UsageError(f"--slack must be >= 0, got {slack}")
 
     by_block = args.from_block is not None or args.to_block is not None
     by_time = args.from_time is not None or args.to_time is not None
@@ -308,7 +326,7 @@ def cmd_download(args) -> int:
         provider = EthereumRpcProvider(endpoint, api_key)
     else:
         provider = BitcoinApiProvider(endpoint or DEFAULT_BITCOIN_ENDPOINT)
-    if rate_limit and rate_limit > 0:
+    if rate_limit:
         provider = ThrottledProvider(provider, TokenBucket(rate_limit))
     retry_policy = RetryPolicy(base_delay=backoff_base, max_attempts=retry_cap)
 
@@ -443,14 +461,13 @@ def cmd_analyze(args) -> int:
               else Path(args.graph).parent / "metrics.json")
     if _skip_existing(output, args.force):
         return 0
-    worker_count = _workers(args.workers)
+    _workers(args.workers)
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
-    report = analyze(graph, worker_count,
-                     sample_sources=args.sample_sources, seed=args.seed)
-    config = RunConfig(worker_count=worker_count, graph_format=fmt,
-                       seed=args.seed, sample_sources=args.sample_sources)
+    report = analyze(graph, sample_sources=args.sample_sources, seed=args.seed)
+    config = RunConfig(graph_format=fmt, seed=args.seed,
+                       sample_sources=args.sample_sources)
     doc = {
         "tool": "ledgernet",
         "tool_version": __version__,
@@ -475,7 +492,7 @@ def cmd_compare(args) -> int:
               else Path(args.graph).parent / "comparison.json")
     if _skip_existing(output, args.force):
         return 0
-    worker_count = _workers(args.workers)
+    _workers(args.workers)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     for flag, value in (("--acc-threshold", args.acc_threshold),
@@ -486,12 +503,10 @@ def cmd_compare(args) -> int:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
     comparison = compare(graph, seed=args.seed, samples=args.samples,
-                         worker_count=worker_count,
                          acc_threshold=args.acc_threshold,
                          aspl_threshold=args.aspl_threshold,
                          sample_sources=args.sample_sources)
-    config = RunConfig(worker_count=worker_count, graph_format=fmt,
-                       seed=args.seed, samples=args.samples,
+    config = RunConfig(graph_format=fmt, seed=args.seed, samples=args.samples,
                        acc_threshold=args.acc_threshold,
                        aspl_threshold=args.aspl_threshold,
                        sample_sources=args.sample_sources)

@@ -207,7 +207,6 @@ class DownloadSummary:
     transactions_written: int = 0
     chunks_completed: int = 0
     interrupted: bool = False
-    chunks_skipped: int = 0
     checkpoint_saves: int = 0
     timings: dict = field(default_factory=dict, compare=False)
 
@@ -269,8 +268,7 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
                     if failure is None:
                         failure = exc
                     continue
-                if temp is None:
-                    summary.chunks_skipped += 1
+                if temp is None:  # skipped: a stop was requested first
                     continue
                 os.replace(temp, chunk_dir / chunk_filename(task.first, task.last))
                 checkpoint.mark_done(task.first)

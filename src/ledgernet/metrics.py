@@ -5,9 +5,10 @@ come from the per-node transaction counters.  Shortest paths use BFS because
 the graph is unweighted for metric purposes (transfer amounts are not
 distances).
 
-Parallel runs partition nodes (or BFS sources) into fixed-size chunks and
-reduce per-chunk results in order, so every report field is bit-identical for
-any worker count.
+Analysis runs on one thread: it is pure-Python graph walking, which the GIL
+would serialise across threads anyway.  Clustering means still sum in fixed
+runs of ``_NODE_CHUNK`` values, because that reduction order fixes the bits of
+every report.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 _NODE_CHUNK = 256
 # Sources per multi-source BFS batch.  Each node holds up to three bitsets of
@@ -173,16 +171,6 @@ def local_clustering(graph: InteractionGraph, node: int) -> float:
     return 2.0 * links / (d * (d - 1))
 
 
-def _local_clusterings(graph: InteractionGraph, nodes: list[int],
-                       executor: ThreadPoolExecutor | None) -> list[float]:
-    def part(chunk: list[int]) -> list[float]:
-        return [local_clustering(graph, v) for v in chunk]
-
-    chunks = [nodes[i:i + _NODE_CHUNK] for i in range(0, len(nodes), _NODE_CHUNK)]
-    mapper = executor.map if executor is not None else map
-    return [value for values in mapper(part, chunks) for value in values]
-
-
 def _mean_clustering(values: list[float]) -> float:
     """Mean of local clustering values.  The reduction is part of every
     report's bits: ``math.fsum`` over each run of ``_NODE_CHUNK`` values,
@@ -194,11 +182,10 @@ def _mean_clustering(values: list[float]) -> float:
 
 
 def average_clustering(graph: InteractionGraph,
-                       nodes: Sequence[int] | None = None, *,
-                       executor: ThreadPoolExecutor | None = None) -> float:
+                       nodes: Sequence[int] | None = None) -> float:
     """Mean local clustering over ``nodes`` (default: every node)."""
-    nodes = list(graph.node_ids()) if nodes is None else list(nodes)
-    return _mean_clustering(_local_clusterings(graph, nodes, executor))
+    nodes = graph.node_ids() if nodes is None else nodes
+    return _mean_clustering([local_clustering(graph, v) for v in nodes])
 
 
 def _distance_sum(adj: list[dict[int, object]], sources: Sequence[int]) -> int:
@@ -228,8 +215,7 @@ def _distance_sum(adj: list[dict[int, object]], sources: Sequence[int]) -> int:
 
 
 def aspl(graph: InteractionGraph, component_nodes: Sequence[int], *,
-         sample_sources: int | None = None, seed: int = 0,
-         executor: ThreadPoolExecutor | None = None) -> float:
+         sample_sources: int | None = None, seed: int = 0) -> float:
     """Mean shortest-path length over node pairs of one connected component.
 
     Exact by default (one BFS per node).  With ``sample_sources`` k < |C| the
@@ -248,10 +234,8 @@ def aspl(graph: InteractionGraph, component_nodes: Sequence[int], *,
     else:
         sources = nodes
 
-    batches = [sources[i:i + _BATCH_WIDTH]
-               for i in range(0, len(sources), _BATCH_WIDTH)]
-    mapper = executor.map if executor is not None else map
-    total = sum(mapper(lambda batch: _distance_sum(graph.adj, batch), batches))
+    total = sum(_distance_sum(graph.adj, sources[i:i + _BATCH_WIDTH])
+                for i in range(0, len(sources), _BATCH_WIDTH))
     return total / (len(sources) * (k - 1))
 
 
@@ -259,8 +243,9 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
             sample_sources: int | None = None, seed: int = 0) -> MetricsReport:
     """Full metric sweep over one graph.
 
-    The result is a pure function of the graph (plus the sampling knobs);
-    worker_count only changes wall time.
+    The result is a pure function of the graph (plus the sampling knobs).
+    ``worker_count`` has no effect: analysis runs on one thread.  It is kept
+    so that existing callers keep working.
     """
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
@@ -285,29 +270,20 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
         report.max_degree_fraction_of_main_component = (
             report.degrees.max_degree / census.main_component_size)
 
-    executor = None
-    if worker_count > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging too
-        executor = ThreadPoolExecutor(max_workers=worker_count)
-    try:
-        start = clock()
-        if n:
-            # One value per node, at index node - 1, serves both means.
-            local = _local_clusterings(graph, list(graph.node_ids()), executor)
-            report.graph_acc = _mean_clustering(local)
-            report.main_component_acc = _mean_clustering([local[v - 1] for v in main])
-        report.timings["clustering"] = clock() - start
+    start = clock()
+    if n:
+        # One value per node, at index node - 1, serves both means.
+        local = [local_clustering(graph, v) for v in graph.node_ids()]
+        report.graph_acc = _mean_clustering(local)
+        report.main_component_acc = _mean_clustering([local[v - 1] for v in main])
+    report.timings["clustering"] = clock() - start
 
-        start = clock()
-        if len(main) >= 2:
-            sampled = sample_sources is not None and sample_sources < len(main)
-            report.aspl_method = "sampled" if sampled else "exact"
-            report.aspl_sample_sources = sample_sources if sampled else None
-            report.main_component_aspl = aspl(graph, main,
-                                              sample_sources=sample_sources,
-                                              seed=seed, executor=executor)
-        report.timings["aspl"] = clock() - start
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    start = clock()
+    if len(main) >= 2:
+        sampled = sample_sources is not None and sample_sources < len(main)
+        report.aspl_method = "sampled" if sampled else "exact"
+        report.aspl_sample_sources = sample_sources if sampled else None
+        report.main_component_aspl = aspl(graph, main,
+                                          sample_sources=sample_sources, seed=seed)
+    report.timings["aspl"] = clock() - start
     return report

@@ -197,11 +197,3 @@ class TestCompare:
             assert baseline.node_count == subject.node_count
             assert baseline.edge_count == subject.edge_count
         assert result.verdict.baseline_acc_stats is not None
-
-    def test_worker_count_does_not_change_the_outcome(self):
-        subject = oracles.rewired_ring(25, 4, 0.2, seed=1)
-        serial = compare(subject, seed=4, worker_count=1)
-        parallel = compare(subject, seed=4, worker_count=4)
-        assert serial.verdict == parallel.verdict
-        assert serial.subject == parallel.subject
-        assert serial.baselines == parallel.baselines

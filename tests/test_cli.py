@@ -262,6 +262,41 @@ class TestDownload:
         assert download(fixture_dir, tmp_path / "out") == 1
         assert "LEDGERNET_RATE_LIMIT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [
+        ("rate_limit", float("nan")), ("rate_limit", float("inf")),
+        ("rate_limit", -1.0), ("retry_cap", 0), ("retry_cap", -2),
+        ("backoff_base", -1.0), ("backoff_base", float("nan")),
+        ("backoff_base", float("inf")),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    def test_bad_provider_setting_is_usage_error(self, fixture_dir, tmp_path,
+                                                 monkeypatch, capsys, key,
+                                                 bad, source):
+        extra = []
+        if source == "flag":
+            named = "--" + key.replace("_", "-")
+            extra = [named, bad]
+        elif source == "environment":
+            monkeypatch.setenv(f"LEDGERNET_{key.upper()}", str(bad))
+            named = f"environment variable LEDGERNET_{key.upper()}"
+        else:
+            named = f"config key {key!r}"
+            config_path = tmp_path / "settings.json"
+            config_path.write_text(json.dumps({key: bad}))  # NaN, Infinity
+            extra = ["--config", config_path]
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {named} must be ")
+        assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_slack_is_usage_error(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--slack", -1) == 1
+        assert capsys.readouterr().err == "usage error: --slack must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestBuild:
     def test_both_formats(self, fixture_dir, tmp_path, capsys):
@@ -381,6 +416,7 @@ class TestAnalyze:
         assert doc["aspl_method"] == "exact"
         assert set(doc["timings_seconds"]) == {"degrees", "components",
                                                "clustering", "aspl"}
+        assert doc["config"] == {"graph_format": "json", "seed": 0}
 
     def test_pajek_input_is_inferred(self, built):
         output = built / "metrics_pajek.json"
@@ -448,6 +484,15 @@ class TestAnalyze:
                        "--sample-sources", bad, "--output", output) == 1
         err = capsys.readouterr().err
         assert err == f"usage error: --sample-sources must be >= 1, got {bad}\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_workers_below_one_is_a_usage_error(self, built, capsys, command):
+        output = built / "report_bad.json"
+        assert run_cli(command, "--graph", built / "graph.json",
+                       "--workers", 0, "--output", output) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: --workers must be >= 1, got 0\n"
         assert not output.exists()
 
 
@@ -608,14 +653,15 @@ class TestEntryPoints:
         graph = tmp_path / "graph.json"
         graph.write_text('{"vertices":["A","B","C"],'
                          '"edges":[["A","B",1],["B","C",2]]}\n')
-        # The analysis commands load no download code, and with one worker
-        # no thread pool.
+        # The analysis commands load no download code and, whatever
+        # --workers says, no thread pool.
         code = ("import sys, ledgernet.cli as cli\n"
                 "names = ('requests', 'ledgernet.ingestion', 'concurrent.futures')\n"
                 "print([n in sys.modules for n in names])\n"
-                "for command in ('analyze', 'compare'):\n"
-                f"    assert cli.main([command, '--graph', {str(graph)!r},\n"
-                "                     '--workers', '1']) == 0\n"
+                "for workers in ([], ['--workers', '1'], ['--workers', '2']):\n"
+                "    for command in ('analyze', 'compare'):\n"
+                f"        assert cli.main([command, '--graph', {str(graph)!r},\n"
+                "                         '--force', *workers]) == 0\n"
                 "print([n in sys.modules for n in names])\n")
         result = subprocess.run([sys.executable, "-c", code],
                                 env=dict(os.environ, PYTHONPATH=SRC),

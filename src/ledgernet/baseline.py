@@ -162,13 +162,17 @@ class ComparisonReport:
 def compare(subject_graph: InteractionGraph, *, seed: int = 0, samples: int = 1,
             acc_threshold: float = DEFAULT_ACC_THRESHOLD,
             aspl_threshold: float = DEFAULT_ASPL_THRESHOLD,
-            sample_sources: int | None = None) -> ComparisonReport:
+            sample_sources: int | None = None,
+            subject: MetricsReport | None = None) -> ComparisonReport:
     """Analyze the subject, its size-matched ER baseline(s), and classify.
 
-    Baseline sample i uses seed + i, so multi-sample runs stay reproducible
-    from the one recorded seed.
+    ``subject``, when given, must be ``analyze(subject_graph,
+    sample_sources=sample_sources, seed=seed)`` computed earlier; it is used
+    instead of analysing the subject again.  Baseline sample i uses seed + i,
+    so multi-sample runs stay reproducible from the one recorded seed.
     """
-    subject = analyze(subject_graph, sample_sources=sample_sources, seed=seed)
+    if subject is None:
+        subject = analyze(subject_graph, sample_sources=sample_sources, seed=seed)
     spec = ErSpec(n=subject.node_count, m=subject.edge_count,
                   seed=seed, samples=samples)
     seeds = [seed + i for i in range(samples)]

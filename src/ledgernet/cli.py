@@ -35,7 +35,7 @@ from .formats import (
     infer_format,
 )
 from .graph import Chain
-from .metrics import analyze
+from .metrics import MetricsReport, analyze, graph_fingerprint
 
 ENV_ENDPOINT = "LEDGERNET_ENDPOINT"
 ENV_API_KEY = "LEDGERNET_API_KEY"
@@ -474,6 +474,7 @@ def cmd_analyze(args) -> int:
         "generated_at": _now(),
         "graph_file": str(args.graph),
         "graph_sha256": _sha256(args.graph),
+        "graph_fingerprint": graph_fingerprint(graph),
         "config": config.to_echo_dict(),
     }
     doc.update(report.to_json_dict())
@@ -485,6 +486,33 @@ def cmd_analyze(args) -> int:
           f"{report.edge_count} edges, {report.components.count} components, "
           f"ACC {acc}, main-component ASPL {aspl_text} -> {output}")
     return 0
+
+
+def _reusable_subject(args, graph) -> MetricsReport | None:
+    """The report in the ``metrics.json`` beside ``--graph``, if this version
+    of ``analyze`` wrote it for a graph with the same fingerprint, seed and
+    sample_sources; None for any other file, however broken."""
+    path = Path(args.graph).parent / "metrics.json"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        config = doc["config"]
+        if (doc["tool_version"] != __version__
+                or config.get("seed") != args.seed
+                or config.get("sample_sources") != args.sample_sources
+                or doc["graph_fingerprint"] != graph_fingerprint(graph)):
+            return None
+        report = MetricsReport.from_json_dict(doc)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if (report.node_count, report.edge_count) != (graph.node_count,
+                                                   graph.edge_count):
+        return None
+    return report
+
+
+def _subject_text(source) -> str:
+    return "subject computed" if source == "computed" else f"subject from {source}"
 
 
 def cmd_compare(args) -> int:
@@ -502,10 +530,12 @@ def cmd_compare(args) -> int:
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
+    subject = _reusable_subject(args, graph)
     comparison = compare(graph, seed=args.seed, samples=args.samples,
                          acc_threshold=args.acc_threshold,
                          aspl_threshold=args.aspl_threshold,
-                         sample_sources=args.sample_sources)
+                         sample_sources=args.sample_sources, subject=subject)
+    source = "computed" if subject is None else "metrics.json"
     config = RunConfig(graph_format=fmt, seed=args.seed, samples=args.samples,
                        acc_threshold=args.acc_threshold,
                        aspl_threshold=args.aspl_threshold,
@@ -517,6 +547,7 @@ def cmd_compare(args) -> int:
         "graph_file": str(args.graph),
         "graph_sha256": _sha256(args.graph),
         "config": config.to_echo_dict(),
+        "subject_source": source,
     }
     doc.update(comparison.to_json_dict())
     _write_json(output, doc)
@@ -526,7 +557,8 @@ def cmd_compare(args) -> int:
           f"ACC ratio {verdict.acc_ratio:.4g} "
           f"(threshold >= {verdict.acc_threshold:g}), "
           f"ASPL ratio {verdict.aspl_ratio:.4g} "
-          f"(threshold <= {verdict.aspl_threshold:g}) -> {output}")
+          f"(threshold <= {verdict.aspl_threshold:g}), "
+          f"{_subject_text(source)} -> {output}")
     return 0
 
 
@@ -564,13 +596,15 @@ def cmd_report(args) -> int:
     comparison_path = root / "comparison.json"
     if comparison_path.exists():
         found = True
-        _, verdict = _read_report(comparison_path, "verdict")
+        doc, verdict = _read_report(comparison_path, "verdict")
         answer = "small-world" if verdict.get("is_small_world") else "not small-world"
         acc_ratio = ("inf" if verdict.get("acc_ratio_infinite")
                      else verdict.get("acc_ratio"))
+        source = doc.get("subject_source")
+        subject = "" if source is None else f", {_subject_text(source)}"
         print(f"comparison: {answer} "
               f"(ACC ratio {acc_ratio}, "
-              f"ASPL ratio {verdict.get('aspl_ratio')})")
+              f"ASPL ratio {verdict.get('aspl_ratio')}{subject})")
 
     if not found:
         print(f"no pipeline artifacts found in {root}")

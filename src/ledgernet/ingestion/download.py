@@ -17,6 +17,7 @@ to single-shot ones.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import threading
@@ -78,7 +79,8 @@ class RetryPolicy:
     """Exponential backoff with jitter.
 
     ``max_attempts`` None means retry forever; transient provider failures
-    are repeated until the request is satisfied.
+    are repeated until the request is satisfied.  The delays must be finite
+    and >= 0 and ``max_attempts`` >= 1, or construction raises ValueError.
     """
 
     base_delay: float = 0.5
@@ -86,6 +88,15 @@ class RetryPolicy:
     jitter: float = 0.1
     max_delay: float = 60.0
     max_attempts: int | None = None
+
+    def __post_init__(self):
+        for name in ("base_delay", "factor", "jitter", "max_delay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {value!r}")
+        if self.max_attempts is not None and self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         base = min(self.max_delay, self.base_delay * self.factor ** (attempt - 1))

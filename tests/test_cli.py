@@ -581,6 +581,133 @@ class TestCompare:
         assert "ACC ratio inf," in capsys.readouterr().out
 
 
+
+def without(doc, *keys):
+    """``stripped(doc)`` less the top-level ``keys``."""
+    return {k: v for k, v in stripped(doc).items() if k not in keys}
+
+
+@pytest.fixture()
+def analyses(monkeypatch):
+    """Counts the graphs ``compare`` analyses (subject and baselines)."""
+    from ledgernet import baseline
+    calls = []
+    analyze = baseline.analyze
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph.node_count)
+        return analyze(graph, *args, **kwargs)
+
+    monkeypatch.setattr(baseline, "analyze", counted)
+    return calls
+
+
+def rewrite_json(path, edit):
+    doc = read_json(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+class TestCompareReuse:
+    def test_compare_on_pajek_reuses_analyze_on_json(self, built, capsys,
+                                                     analyses):
+        assert run_cli("analyze", "--graph", built / "graph.json") == 0
+        metrics_doc = read_json(built / "metrics.json")
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", built / "graph.pajek") == 0
+        assert "subject from metrics.json ->" in capsys.readouterr().out
+        assert len(analyses) == 1  # the baseline only
+        reused = read_json(built / "comparison.json")
+        assert reused["subject_source"] == "metrics.json"
+        assert stripped(reused["subject"]) == without(
+            metrics_doc, "tool", "tool_version", "graph_file", "graph_sha256",
+            "graph_fingerprint", "config")
+
+        (built / "metrics.json").unlink()
+        assert run_cli("compare", "--graph", built / "graph.pajek",
+                       "--force") == 0
+        assert "subject computed ->" in capsys.readouterr().out
+        assert len(analyses) == 3
+        computed = read_json(built / "comparison.json")
+        assert computed["subject_source"] == "computed"
+        assert without(reused, "subject_source") == \
+            without(computed, "subject_source")
+
+    def test_sampled_report_is_reused_with_matching_settings(self, built,
+                                                             analyses):
+        run_cli("analyze", "--graph", built / "graph.json",
+                "--sample-sources", 2, "--seed", 3)
+        assert run_cli("compare", "--graph", built / "graph.json",
+                       "--sample-sources", 2, "--seed", 3) == 0
+        doc = read_json(built / "comparison.json")
+        assert doc["subject_source"] == "metrics.json"
+        assert doc["subject"]["aspl_method"] == "sampled"
+        assert len(analyses) == 1
+
+    @pytest.mark.parametrize("miss", [
+        "seed", "sample_sources", "edited graph", "corrupt", "not an object",
+        "no fingerprint", "tool_version", "bad field", "directory"])
+    def test_any_mismatch_recomputes_the_subject(self, built, capsys,
+                                                 analyses, miss):
+        metrics_path = built / "metrics.json"
+        graph_path = built / "graph.json"
+        compare_args = []
+        if miss == "directory":
+            metrics_path.mkdir()
+        else:
+            run_cli("analyze", "--graph", graph_path)
+        if miss == "seed":
+            compare_args = ["--seed", 1]
+        elif miss == "sample_sources":
+            compare_args = ["--sample-sources", 2]
+        elif miss == "edited graph":
+            rewrite_json(graph_path, lambda doc: doc["edges"].pop())
+        elif miss == "corrupt":
+            metrics_path.write_bytes(b'{"node_count": 6, "edg')
+        elif miss == "not an object":
+            metrics_path.write_text("[1, 2]")
+        elif miss == "no fingerprint":
+            rewrite_json(metrics_path, lambda doc: doc.pop("graph_fingerprint"))
+        elif miss == "tool_version":
+            rewrite_json(metrics_path,
+                         lambda doc: doc.update(tool_version="0.0.0"))
+        elif miss == "bad field":
+            rewrite_json(metrics_path,
+                         lambda doc: doc.update(main_component_acc="0.5"))
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", graph_path, *compare_args) == 0
+        assert "subject computed ->" in capsys.readouterr().out
+        assert len(analyses) == 2
+        doc = read_json(built / "comparison.json")
+        assert doc["subject_source"] == "computed"
+        analyses.clear()
+        fresh = built / "fresh"
+        fresh.mkdir()
+        (fresh / "graph.json").write_bytes(graph_path.read_bytes())
+        run_cli("compare", "--graph", fresh / "graph.json", *compare_args)
+        assert without(read_json(fresh / "comparison.json"), "graph_file") == \
+            without(doc, "graph_file")
+
+    def test_metrics_document_records_the_fingerprint(self, built):
+        from ledgernet import import_graph
+        from ledgernet.metrics import graph_fingerprint
+        run_cli("analyze", "--graph", built / "graph.pajek")
+        doc = read_json(built / "metrics.json")
+        assert doc["graph_fingerprint"] == graph_fingerprint(
+            import_graph(built / "graph.json"))
+
+    def test_report_says_where_the_subject_came_from(self, built, capsys):
+        run_cli("compare", "--graph", built / "graph.json")
+        capsys.readouterr()
+        run_cli("report", "--dir", built)
+        assert ", subject computed)" in capsys.readouterr().out
+        run_cli("analyze", "--graph", built / "graph.json")
+        run_cli("compare", "--graph", built / "graph.json", "--force")
+        capsys.readouterr()
+        run_cli("report", "--dir", built)
+        assert ", subject from metrics.json)" in capsys.readouterr().out
+
+
 class TestReport:
     def test_summarizes_pipeline_artifacts(self, built, capsys):
         run_cli("analyze", "--graph", built / "graph.json")

@@ -183,6 +183,35 @@ class TestRetry:
         for attempt in range(1, 30):
             assert 1.0 <= policy.delay(attempt, rng) <= 1.25
 
+    def test_negative_base_delay_is_rejected_before_any_sleep(self):
+        provider = FlakyProvider(failures=1)
+        with pytest.raises(ValueError,
+                           match="base_delay must be a finite number >= 0, got -1"):
+            call_with_retry(lambda: provider.block_transactions(0),
+                            RetryPolicy(base_delay=-1))
+        assert provider.calls == 0
+
+    def test_nan_base_delay_is_rejected(self):
+        # min(max_delay, nan) is max_delay, so every retry would wait 60 s
+        with pytest.raises(ValueError, match="base_delay .* got nan"):
+            RetryPolicy(base_delay=float("nan"))
+
+    def test_zero_max_attempts_is_rejected(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+            RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("name", ["base_delay", "factor", "jitter",
+                                      "max_delay"])
+    @pytest.mark.parametrize("value", [-0.5, float("inf"), float("-inf")])
+    def test_negative_or_infinite_field_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            RetryPolicy(**{name: value})
+
+    def test_zero_delays_and_one_attempt_are_accepted(self):
+        policy = RetryPolicy(base_delay=0, factor=0, jitter=0, max_delay=0,
+                             max_attempts=1)
+        assert policy.delay(3, random.Random(0)) == 0
+
 
 class TestResolveBlockRange:
     def test_interval_inside_fixture(self, tmp_path):

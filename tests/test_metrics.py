@@ -1,11 +1,15 @@
+import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from ledgernet import (
     Chain,
     InteractionGraph,
+    MetricsReport,
     Transaction,
     UndefinedMetricError,
     analyze,
@@ -15,9 +19,13 @@ from ledgernet import (
     canonicalize_address,
     connected_components,
     degree_distributions,
+    export_json,
+    export_pajek,
+    import_graph,
     local_clustering,
 )
 from ledgernet import metrics
+from ledgernet.metrics import graph_fingerprint
 
 import oracles
 
@@ -231,6 +239,7 @@ class TestMultiSourceBfs:
 
     def test_distance_sum_matches_per_source_bfs(self, monkeypatch):
         monkeypatch.setattr(metrics, "_BATCH_WIDTH", 7)
+        monkeypatch.setattr(metrics, "_BATCH_BITS", 0)
         rng = random.Random(59)
         for _ in range(8):
             # sparse draws leave several components, so BFS from some sources
@@ -246,6 +255,7 @@ class TestMultiSourceBfs:
     def test_exact_and_sampled_aspl_match_oracle_across_batches(self,
                                                                 monkeypatch):
         monkeypatch.setattr(metrics, "_BATCH_WIDTH", 7)
+        monkeypatch.setattr(metrics, "_BATCH_BITS", 0)
         rng = random.Random(61)
         for _ in range(6):
             g = oracles.random_graph(rng, max_nodes=120)
@@ -260,12 +270,82 @@ class TestMultiSourceBfs:
                 expected = bfs_distance_sum(g, sources) / (k * (len(nodes) - 1))
                 assert aspl(g, nodes, sample_sources=k, seed=3) == expected
 
-    def test_cycle_wider_than_one_batch_matches_closed_form(self):
+    def test_cycle_wider_than_one_batch_matches_closed_form(self, monkeypatch):
         # odd cycle C_n: every node sees distances 1..(n-1)/2 twice, so the
         # mean is (n + 1) / 4
+        monkeypatch.setattr(metrics, "_BATCH_BITS", 0)
         n = metrics._BATCH_WIDTH + 3
         g = oracles.cycle_graph(n)
         assert aspl(g, list(g.node_ids())) == (n + 1) / 4
+
+    @pytest.mark.parametrize("mode", ["top-down", "bottom-up", "mixed"])
+    def test_forced_level_directions_match_per_source_bfs(self, monkeypatch,
+                                                          mode):
+        rng = random.Random(67)
+        picks = {"top-down": itertools.repeat(False),
+                 "bottom-up": itertools.repeat(True),
+                 "mixed": iter(lambda: rng.random() < 0.5, None)}[mode]
+        chosen = []
+
+        def forced(frontier_size, pending_size):
+            chosen.append(next(picks))
+            return chosen[-1]
+
+        monkeypatch.setattr(metrics, "_bottom_up", forced)
+        for _ in range(10):
+            n = rng.randrange(2, 120)
+            # about one edge per node leaves several components
+            g = oracles.graph_from_edges(
+                n, oracles.random_gnm_edge_set(rng, n, rng.randrange(n + 1)))
+            sources = list(g.node_ids())
+            rng.shuffle(sources)
+            for width in (1, 5, len(sources)):
+                batch = sources[:width]
+                assert metrics._distance_sum(g.adj, batch) == \
+                    bfs_distance_sum(g, batch)
+            for component in oracles.dfs_components(g):
+                nodes = sorted(component)
+                batch = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
+                assert metrics._distance_sum(g.adj, batch, nodes) == \
+                    bfs_distance_sum(g, batch)
+        assert set(chosen) == {"top-down": {False}, "bottom-up": {True},
+                               "mixed": {False, True}}[mode]
+
+    def test_batch_width_follows_the_memory_budget(self, monkeypatch):
+        widths = []
+        distance_sum = metrics._distance_sum
+
+        def spy(adj, sources, nodes=None):
+            widths.append(len(sources))
+            return distance_sum(adj, sources, nodes)
+
+        monkeypatch.setattr(metrics, "_distance_sum", spy)
+        monkeypatch.setattr(metrics, "_BATCH_WIDTH", 4)
+        monkeypatch.setattr(metrics, "_BATCH_BITS", 100)
+        # width = max(4, 100 // component size)
+        for n, expected in [(10, [10]), (20, [5, 5, 5, 5]), (30, [4] * 7 + [2])]:
+            widths.clear()
+            g = oracles.cycle_graph(n)
+            aspl(g, list(g.node_ids()))
+            assert widths == expected
+        widths.clear()
+        aspl(oracles.cycle_graph(30), list(range(1, 31)), sample_sources=3)
+        assert widths == [3]
+
+    def test_exact_aspl_memory_stays_within_the_batch_budget(self):
+        # One exact batch of all ~5k sources on G(5000, 18000): three bitsets
+        # of 5k bits per node come to about 10 MB.
+        rng = random.Random(71)
+        g = oracles.graph_from_edges(
+            5000, oracles.random_gnm_edge_set(rng, 5000, 18000))
+        nodes = sorted(oracles.main_component(g))
+        tracemalloc.start()
+        try:
+            aspl(g, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestAnalyze:
@@ -354,3 +434,81 @@ class TestAnalyze:
         assert doc["components"]["main_component_size"] == 4
         assert doc["node_count"] == 4
         assert isinstance(doc["timings_seconds"], dict)
+
+
+class TestReportRoundTrip:
+    def test_from_json_dict_inverts_to_json_dict(self):
+        rng = random.Random(73)
+        for i in range(12):
+            g = build_graph(oracles.random_transactions(rng, count=rng.randrange(80)),
+                            Chain.ETHEREUM)
+            report = analyze(g, sample_sources=rng.choice([None, 1, 3]), seed=i)
+            doc = json.loads(json.dumps(report.to_json_dict()))
+            back = MetricsReport.from_json_dict(doc)
+            assert back == report
+            assert back.timings == report.timings
+            assert back.to_json_dict() == report.to_json_dict()
+
+    def test_empty_graph_report_round_trips(self):
+        report = analyze(InteractionGraph())
+        assert MetricsReport.from_json_dict(report.to_json_dict()) == report
+
+    @pytest.mark.parametrize("path, value", [
+        (("node_count",), 6.0), (("node_count",), True), (("graph_acc",), "0.5"),
+        (("main_component_aspl",), 2), (("aspl_method",), "guessed"),
+        (("aspl_sample_sources",), 2.5), (("degrees", "in"), [[0, 1, 2]]),
+        (("degrees", "total"), {"1": 2}), (("components", "sizes"), [4.0]),
+        (("timings_seconds",), [])])
+    def test_wrong_field_types_are_rejected(self, path, value):
+        doc = analyze(triangle_with_pendant()).to_json_dict()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises((ValueError, TypeError)):
+            MetricsReport.from_json_dict(doc)
+
+    def test_missing_field_is_rejected(self):
+        doc = analyze(triangle_with_pendant()).to_json_dict()
+        del doc["components"]["count"]
+        with pytest.raises(KeyError):
+            MetricsReport.from_json_dict(doc)
+
+
+class TestGraphFingerprint:
+    def test_json_and_pajek_files_share_it(self, tmp_path):
+        rng = random.Random(79)
+        for i in range(5):
+            g = build_graph(oracles.random_transactions(rng, count=60),
+                            Chain.ETHEREUM)
+            export_json(g, tmp_path / f"g{i}.json")
+            export_pajek(g, tmp_path / f"g{i}.pajek")
+            from_json = import_graph(tmp_path / f"g{i}.json")
+            assert graph_fingerprint(from_json) == \
+                graph_fingerprint(import_graph(tmp_path / f"g{i}.pajek"))
+            # counters are not in graph files
+            assert graph_fingerprint(from_json) != graph_fingerprint(g)
+
+    def test_amounts_and_keys_do_not_count(self):
+        g = oracles.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        other = InteractionGraph()
+        for key in "WXYZ":
+            other.intern_node(key)
+        for a, b in [(1, 2), (2, 3), (3, 4)]:
+            other.record_edge(a, b, amount=99, tx_count=5)
+        assert graph_fingerprint(g) == graph_fingerprint(other)
+
+    def test_what_analyze_reads_counts(self):
+        base = graph_fingerprint(oracles.path_graph(4))
+        moved = oracles.graph_from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        assert graph_fingerprint(moved) != base
+        grown = oracles.path_graph(4)
+        grown.intern_node("extra")
+        assert graph_fingerprint(grown) != base
+        busier = oracles.path_graph(4)
+        busier.in_tx[2] += 1
+        assert graph_fingerprint(busier) != base
+        busier = oracles.path_graph(4)
+        busier.out_tx[4] += 1
+        assert graph_fingerprint(busier) != base
+        assert graph_fingerprint(oracles.path_graph(4)) == base

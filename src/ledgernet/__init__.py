@@ -32,7 +32,6 @@ from .errors import (
 )
 from .formats import export_json, export_pajek, import_graph
 from .graph import (
-    AddressKey,
     Chain,
     InteractionGraph,
     Transaction,
@@ -52,7 +51,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "AddressKey",
     "AddressError",
     "Chain",
     "CheckpointError",

@@ -457,13 +457,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _workers(args.workers)
+    if args.sample_sources is not None and args.sample_sources < 1:
+        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     output = (Path(args.output) if args.output
               else Path(args.graph).parent / "metrics.json")
     if _skip_existing(output, args.force):
         return 0
-    _workers(args.workers)
-    if args.sample_sources is not None and args.sample_sources < 1:
-        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     graph, fmt = _load_graph(args)
     report = analyze(graph, sample_sources=args.sample_sources, seed=args.seed)
     config = RunConfig(graph_format=fmt, seed=args.seed,
@@ -516,10 +516,6 @@ def _subject_text(source) -> str:
 
 
 def cmd_compare(args) -> int:
-    output = (Path(args.output) if args.output
-              else Path(args.graph).parent / "comparison.json")
-    if _skip_existing(output, args.force):
-        return 0
     _workers(args.workers)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
@@ -529,6 +525,10 @@ def cmd_compare(args) -> int:
             raise UsageError(f"{flag} must be a finite number, got {value}")
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
+    output = (Path(args.output) if args.output
+              else Path(args.graph).parent / "comparison.json")
+    if _skip_existing(output, args.force):
+        return 0
     graph, fmt = _load_graph(args)
     subject = _reusable_subject(args, graph)
     comparison = compare(graph, seed=args.seed, samples=args.samples,

@@ -54,12 +54,7 @@ def export_json(graph: InteractionGraph, path) -> None:
     doc["edges"] = [[graph.keys[a], graph.keys[b], amount]
                     for a, b, amount in graph.edge_triples()]
     payload = json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-            fh.write("\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
+    _write(path, payload, "utf-8")
 
 
 def export_pajek(graph: InteractionGraph, path) -> None:
@@ -70,10 +65,17 @@ def export_pajek(graph: InteractionGraph, path) -> None:
     lines.append("*Edges")
     for a, b, amount in graph.edge_triples():
         lines.append(f"{a} {b} {amount}")
-    text = "\n".join(lines) + "\n"
+    _write(path, "\n".join(lines), "ascii")
+
+
+def _write(path, text: str, encoding: str) -> None:
+    """Write ``text`` and a final newline to ``path``, encoded in full
+    before the file is opened."""
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        data = text.encode(encoding)
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.write(b"\n")
     except (OSError, UnicodeEncodeError) as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 

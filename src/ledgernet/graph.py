@@ -1,5 +1,8 @@
 """Domain model: addresses, transactions, and the account-interaction graph.
 
+An address is its canonical key, a plain ``str`` from ``canonicalize_address``;
+the chain is known from the provider, the checkpoint or the graph.
+
 The graph is undirected and simple.  Every transaction between two distinct
 accounts contributes to exactly one edge; repeat transactions on the same
 pair increase that edge's transfer total and transaction count instead of
@@ -35,16 +38,8 @@ _CANONICAL_KEY = {
 }
 
 
-@dataclass(frozen=True)
-class AddressKey:
-    """A canonical account identifier on one chain."""
-
-    chain: Chain
-    key: str
-
-
-def canonicalize_address(raw: str, chain: Chain | str) -> AddressKey:
-    """Normalize a raw address string so one account maps to one node.
+def canonicalize_address(raw: str, chain: Chain | str) -> str:
+    """The canonical key of a raw address, so one account maps to one node.
 
     Ethereum addresses become lowercase ``0x``-prefixed 40-digit hex (the
     prefix may be missing on input).  Bitcoin addresses are kept verbatim
@@ -57,7 +52,7 @@ def canonicalize_address(raw: str, chain: Chain | str) -> AddressKey:
             raise AddressError(f"unknown chain: {chain!r}") from exc
     canonical = _CANONICAL_KEY[chain]
     if isinstance(raw, str) and canonical(raw):
-        return AddressKey(chain, raw)
+        return raw
     if not isinstance(raw, str) or not raw.strip():
         raise AddressError(f"empty {chain.value} address")
     key = raw.strip()
@@ -66,20 +61,21 @@ def canonicalize_address(raw: str, chain: Chain | str) -> AddressKey:
         key = key if key.startswith("0x") else "0x" + key
     if not canonical(key):
         raise AddressError(f"malformed {chain.value} address: {raw!r}")
-    return AddressKey(chain, key)
+    return key
 
 
 @dataclass(frozen=True)
 class Transaction:
     """One directed value transfer recorded on the ledger.
 
-    ``sender`` is None for block rewards and similar transactions that have
-    no sending account.  Amounts are integers in the chain's base unit
-    (wei / satoshi); amount, height and timestamp must be exact ``int``s.
+    ``sender`` and ``recipient`` are canonical keys; ``sender`` is None for
+    block rewards and other transactions without a sending account.  Amounts
+    are integers in the chain's base unit (wei / satoshi); amount, height and
+    timestamp must be exact ``int``s.
     """
 
-    sender: AddressKey | None
-    recipient: AddressKey
+    sender: str | None
+    recipient: str
     amount: int
     block_height: int
     timestamp: int
@@ -192,8 +188,7 @@ class InteractionGraph:
 
     def add_transaction(self, tx: Transaction) -> None:
         """Apply one transaction (see ``add_transfer``)."""
-        self.add_transfer(None if tx.sender is None else tx.sender.key,
-                          tx.recipient.key, tx.amount)
+        self.add_transfer(tx.sender, tx.recipient, tx.amount)
 
     def add_transfer(self, sender: str | None, recipient: str, amount: int) -> None:
         """Apply one transfer between canonical keys: register endpoints,

@@ -20,8 +20,6 @@ from typing import Iterable, Iterator
 
 from ..errors import CheckpointError, ParseError
 from ..graph import (
-    _CANONICAL_KEY,
-    AddressKey,
     Chain,
     InteractionGraph,
     Transaction,
@@ -48,19 +46,15 @@ def parse_chunk_filename(name: str) -> tuple[int, int] | None:
 def encode_transaction(tx: Transaction) -> str:
     """The chunk line of ``tx``, as ``json.dumps`` with compact separators
     writes it (``Transaction`` fields are exact ints)."""
-    sender = "null" if tx.sender is None else _quote(tx.sender.key)
+    sender = "null" if tx.sender is None else _quote(tx.sender)
     return (f'{{"h":{tx.block_height},"t":{tx.timestamp},"s":{sender},'
-            f'"r":{_quote(tx.recipient.key)},"v":{tx.amount}}}\n')
+            f'"r":{_quote(tx.recipient)},"v":{tx.amount}}}\n')
 
 
 def _decode_record(line: str, chain: Chain | str, path,
                    line_no: int | None) -> tuple[int, int, str | None, str, int]:
     """The fields of one valid chunk line, in ``_FIELDS`` order, with
-    canonical address keys; a fault raises ParseError.
-
-    A key already in canonical shape is taken as it is; any other key goes
-    through ``canonicalize_address``, which canonicalizes or rejects it.
-    """
+    canonical address keys; a fault raises ParseError."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -78,11 +72,9 @@ def _decode_record(line: str, chain: Chain | str, path,
             raise ValueError(f"field 's' must be a string or null, got {sender!r}")
         if not isinstance(recipient, str):
             raise ValueError(f"field 'r' must be a string, got {recipient!r}")
-        canonical = _CANONICAL_KEY.get(chain)
-        if sender is not None and not (canonical and canonical(sender)):
-            sender = canonicalize_address(sender, chain).key
-        if not (canonical and canonical(recipient)):
-            recipient = canonicalize_address(recipient, chain).key
+        if sender is not None:
+            sender = canonicalize_address(sender, chain)
+        recipient = canonicalize_address(recipient, chain)
         if amount < 0:
             raise ValueError(f"negative amount: {amount}")
         if height < 0:
@@ -94,16 +86,8 @@ def _decode_record(line: str, chain: Chain | str, path,
 
 def decode_transaction(line: str, chain: Chain | str, *,
                        path=None, line_no: int | None = None) -> Transaction:
-    height, timestamp, sender, recipient, amount = _decode_record(
-        line, chain, path, line_no)
-    chain = Chain(chain)
-    return Transaction(
-        sender=None if sender is None else AddressKey(chain, sender),
-        recipient=AddressKey(chain, recipient),
-        amount=amount,
-        block_height=height,
-        timestamp=timestamp,
-    )
+    h, t, s, r, v = _decode_record(line, chain, path, line_no)
+    return Transaction(s, r, v, h, t)
 
 
 def write_chunk(path, transactions: Iterable[Transaction]) -> int:
@@ -139,23 +123,38 @@ def _disjoint(files: list[Path]) -> list[Path]:
     return files
 
 
-def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transaction]:
-    """Stream every downloaded transaction in block order, one chunk at a
-    time; chunk files that overlap raise ParseError."""
-    for path in _disjoint(list_chunk_files(chunk_dir)):
+def _records(files: list[Path], chain: Chain | str
+             ) -> Iterator[tuple[int, int, str | None, str, int]]:
+    """``(height, timestamp, sender, recipient, amount)`` of every line of
+    ``files`` (sorted by span) in order; overlapping files, a bad line and a
+    record outside its file's block span raise ParseError."""
+    for path in _disjoint(files):
+        first, last = parse_chunk_filename(path.name)
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield decode_transaction(line, chain, path=path, line_no=line_no)
+                    record = _decode_record(line, chain, path, line_no)
+                    if not first <= record[0] <= last:
+                        raise ParseError(f"block height {record[0]} is outside "
+                                         f"the file's span {first}..{last}",
+                                         path=path, line=line_no)
+                    yield record
+
+
+def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transaction]:
+    """Stream every downloaded transaction in block order, one chunk at a
+    time; chunk files that overlap or a record outside its file's block span
+    raise ParseError."""
+    for h, t, s, r, v in _records(list_chunk_files(chunk_dir), chain):
+        yield Transaction(s, r, v, h, t)
 
 
 def fold_chunks(chunk_dir, chain: Chain | str,
                 checkpoint: Checkpoint | None = None) -> InteractionGraph:
     """``build_graph(iter_chunk_transactions(chunk_dir, chain), chain)``
-    without ``Transaction`` objects, also rejecting a record outside its
-    file's block span.  With a checkpoint, every chunk file must be a chunk
-    of its plan and every done chunk must have its file; only done chunks
-    are folded.  Without one, chunk files must not overlap.
+    without ``Transaction`` objects.  With a checkpoint, every chunk file
+    must be a chunk of its plan and every done chunk must have its file;
+    only done chunks are folded.  Without one, chunk files must not overlap.
     """
     files = list_chunk_files(chunk_dir)
     if checkpoint is not None:
@@ -174,16 +173,6 @@ def fold_chunks(chunk_dir, chain: Chain | str,
     chain = Chain(chain)
     graph = InteractionGraph(chain)
     add_transfer = graph.add_transfer
-    for path in _disjoint(files):
-        first, last = parse_chunk_filename(path.name)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    height, _, sender, recipient, amount = _decode_record(
-                        line, chain, path, line_no)
-                    if not first <= height <= last:
-                        raise ParseError(f"block height {height} is outside the "
-                                         f"file's span {first}..{last}",
-                                         path=path, line=line_no)
-                    add_transfer(sender, recipient, amount)
+    for _, _, sender, recipient, amount in _records(files, chain):
+        add_transfer(sender, recipient, amount)
     return graph

@@ -118,10 +118,18 @@ class FixtureProvider(BlockProvider):
         except ValueError as exc:
             raise ProviderError(f"fixture block {height} unreadable: {exc}",
                                 permanent=True) from exc
+        if not isinstance(doc, dict):
+            raise ProviderError(f"fixture block {height} malformed: not a JSON object",
+                                permanent=True)
         if doc.get("height") != height:
             raise ProviderError(
                 f"fixture block file {path.name} claims height {doc.get('height')}",
                 permanent=True)
+        if type(doc.get("timestamp")) is not int:
+            # the wording Transaction uses for a non-integer field
+            raise ProviderError(f"fixture block {height} malformed: amount, block "
+                                f"height and timestamp must be integers, got "
+                                f"timestamp {doc.get('timestamp')!r}", permanent=True)
         return doc
 
     def block_header(self, height: int) -> int:

@@ -130,11 +130,11 @@ def recount_degrees(transactions) -> tuple[dict[str, int], dict[str, int]]:
     in_counts: dict[str, int] = {}
     out_counts: dict[str, int] = {}
     for tx in transactions:
-        in_counts[tx.recipient.key] = in_counts.get(tx.recipient.key, 0) + 1
-        out_counts.setdefault(tx.recipient.key, 0)
+        in_counts[tx.recipient] = in_counts.get(tx.recipient, 0) + 1
+        out_counts.setdefault(tx.recipient, 0)
         if tx.sender is not None:
-            out_counts[tx.sender.key] = out_counts.get(tx.sender.key, 0) + 1
-            in_counts.setdefault(tx.sender.key, 0)
+            out_counts[tx.sender] = out_counts.get(tx.sender, 0) + 1
+            in_counts.setdefault(tx.sender, 0)
     return in_counts, out_counts
 
 
@@ -260,7 +260,7 @@ def random_address(rng: random.Random, chain: Chain = ETH) -> str:
 
 
 def canonical_key(raw, chain: Chain) -> str:
-    """``canonicalize_address(raw, chain).key`` by the rules alone: strip,
+    """``canonicalize_address(raw, chain)`` by the rules alone: strip,
     then for Ethereum lowercase, drop a ``0x`` and require 40 hex digits,
     for Bitcoin require no inner whitespace.  Raises ValueError with
     ``canonicalize_address``'s message for a key it rejects."""

@@ -148,6 +148,29 @@ class TestDownload:
         assert 3 not in checkpoint["done"]
         assert "chunk_3_5.ndjson" not in chunk_bytes(out)
 
+    @pytest.mark.parametrize("selector", [("--from-block", 0, "--to-block", 9),
+                                          ("--from-time", 250, "--to-time", 650)],
+                             ids=["blocks", "interval"])
+    @pytest.mark.parametrize("body, problem", [
+        ("[]", "not a JSON object"),
+        ('{{"height": {height}, "transactions": []}}',
+         "amount, block height and timestamp must be integers, got timestamp None"),
+    ], ids=["list", "no-timestamp"])
+    def test_malformed_fixture_block_exits_2_with_one_line(
+            self, fixture_dir, tmp_path, capsys, selector, body, problem):
+        # every block is broken, so block_header (resolving a time interval)
+        # and block_transactions both meet one
+        for height in range(10):
+            (fixture_dir / f"block_{height:08d}.json").write_text(
+                body.format(height=height))
+        code = run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       *selector, "--workers", 1, "--output-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixture block ")
+        assert err.endswith(f" malformed: {problem}\n")
+        assert err.count("\n") == 1
+
     def test_force_discards_previous_run(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -382,6 +405,28 @@ class TestBuild:
                        f"overlap: both hold blocks 0..2\n")
         assert not (bare / "graph.json").exists()
 
+    @pytest.mark.parametrize("fmt, key", [("json", "a\ud800"), ("pajek", "a\ud800"),
+                                          ("pajek", "caf\u00e9")])
+    def test_unencodable_key_exits_2_and_writes_no_graph(self, tmp_path, capsys,
+                                                         fmt, key):
+        chunks = tmp_path / "chunks"
+        chunks.mkdir()
+        (chunks / "chunk_0_0.ndjson").write_text(json.dumps(
+            {"h": 0, "t": 1, "s": key, "r": "b", "v": 5}) + "\n")
+        out = tmp_path / "out"
+        path = out / f"graph.{fmt}"
+        argv = ("build", "--chain", "bitcoin", "--chunks", chunks,
+                "--output-dir", out, "--format", fmt)
+        for _ in range(2):  # the rerun finds no empty file to keep
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert err.count("\n") == 1
+            assert not path.exists()
+        path.write_bytes(b"older graph\n")
+        assert run_cli(*argv, "--force") == 2
+        assert path.read_bytes() == b"older graph\n"
+
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -494,6 +539,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "usage error: --workers must be >= 1, got 0\n"
         assert not output.exists()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("analyze", ("--workers", 0)), ("analyze", ("--sample-sources", 0)),
+        ("compare", ("--workers", 0)), ("compare", ("--samples", 0)),
+        ("compare", ("--acc-threshold=nan",)), ("compare", ("--aspl-threshold=inf",)),
+        ("compare", ("--sample-sources", 0)),
+    ])
+    def test_usage_error_does_not_depend_on_existing_output(self, built, capsys,
+                                                            command, argv):
+        report = built / ("metrics.json" if command == "analyze"
+                          else "comparison.json")
+        report.write_text("{}\n")
+        assert run_cli(command, "--graph", built / "graph.json", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+        assert report.read_text() == "{}\n"
 
 
 class TestCompare:

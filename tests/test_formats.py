@@ -87,6 +87,39 @@ class TestExportJson:
             export_json(two_node_graph(), tmp_path)
 
 
+class TestUnencodableGraph:
+    """An export encodes its whole payload before it opens the file."""
+
+    CASES = [(export_json, "a\ud800"), (export_pajek, "a\ud800"),
+             (export_pajek, "caf\u00e9")]
+
+    @staticmethod
+    def graph_with(key):
+        g = InteractionGraph(Chain.BITCOIN)
+        g.intern_node(key)
+        g.intern_node("b")
+        g.record_edge(1, 2, amount=5)
+        return g
+
+    @pytest.mark.parametrize("export, key", CASES)
+    def test_leaves_no_file(self, tmp_path, export, key):
+        path = tmp_path / "g"
+        with pytest.raises(ExportError) as info:
+            export(self.graph_with(key), path)
+        assert str(info.value).startswith(f"cannot write {path}: ")
+        assert "\n" not in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("export, key", CASES)
+    def test_keeps_the_older_file(self, tmp_path, export, key):
+        path = tmp_path / "g"
+        export(two_node_graph(), path)
+        before = path.read_bytes()
+        with pytest.raises(ExportError):
+            export(self.graph_with(key), path)
+        assert path.read_bytes() == before
+
+
 class TestImportGraph:
     def test_pajek_inverse_of_export(self, tmp_path):
         path = tmp_path / "g.pajek"

@@ -46,19 +46,32 @@ class TestCanonicalizeAddress:
     def test_ethereum_case_folding(self):
         mixed = "0xAbCdEf0123456789aBcDeF0123456789ABCDEF00"
         key = eth(mixed)
-        assert key.key == "0xabcdef0123456789abcdef0123456789abcdef00"
-        assert key.chain is Chain.ETHEREUM
+        assert key == "0xabcdef0123456789abcdef0123456789abcdef00"
+
+    @pytest.mark.parametrize("chain, raw, expected", [
+        (Chain.ETHEREUM, A, A),
+        (Chain.ETHEREUM, " " + A.upper().replace("0X", ""), A),
+        (Chain.BITCOIN, "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa",
+         "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"),
+        (Chain.BITCOIN, "\t1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa ",
+         "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"),
+    ])
+    def test_returns_the_canonical_str(self, chain, raw, expected):
+        for given in (chain, chain.value):
+            key = canonicalize_address(raw, given)
+            assert type(key) is str
+            assert key == expected
 
     def test_ethereum_accepts_missing_prefix(self):
         bare = "abcdef0123456789abcdef0123456789abcdef00"
-        assert eth(bare).key == "0x" + bare
+        assert eth(bare) == "0x" + bare
 
     def test_bitcoin_passthrough(self):
         raw = "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
-        assert btc(raw).key == raw
+        assert btc(raw) == raw
 
     def test_bitcoin_trims_surrounding_whitespace(self):
-        assert btc("  1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa\n").key == \
+        assert btc("  1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa\n") == \
             "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
 
     @pytest.mark.parametrize("raw", ["", "   ", "0x", "0x" + "a" * 39,
@@ -82,11 +95,11 @@ class TestCanonicalizeAddress:
         for _ in range(50):
             raw = oracles.random_address(rng)
             once = eth(raw)
-            assert eth(once.key) == once
+            assert eth(once) == once
         for _ in range(50):
             raw = oracles.random_address(rng, Chain.BITCOIN)
             once = btc(raw)
-            assert btc(once.key) == once
+            assert btc(once) == once
 
     @pytest.mark.parametrize("chain", [Chain.ETHEREUM, Chain.BITCOIN])
     def test_matches_the_rules_on_random_input(self, chain):
@@ -104,8 +117,8 @@ class TestCanonicalizeAddress:
             accepted += 1
             for given in (chain, chain.value):
                 key = canonicalize_address(raw, given)
-                assert (key.chain, key.key) == (chain, expected)
-                assert type(key.chain) is Chain and type(key.key) is str
+                assert key == expected
+                assert type(key) is str
         assert 1000 < accepted < 2900
 
     @pytest.mark.parametrize("raw", [None, 12, b"0x" + b"a" * 40])
@@ -137,7 +150,7 @@ class TestAddTransaction:
         g.add_transaction(tx(A, B, 5))
         assert g.node_count == 2
         assert g.edge_count == 1
-        a, b = g.node_id(eth(A).key), g.node_id(eth(B).key)
+        a, b = g.node_id(eth(A)), g.node_id(eth(B))
         data = g.edges[(min(a, b), max(a, b))]
         assert (data.amount, data.tx_count) == (5, 1)
         assert g.out_tx[a] == 1 and g.in_tx[a] == 0
@@ -181,9 +194,9 @@ class TestAddTransaction:
         g = InteractionGraph(Chain.ETHEREUM)
         g.add_transaction(tx(A, B))
         g.add_transaction(tx(C, A))
-        assert g.node_id(eth(A).key) == 1
-        assert g.node_id(eth(B).key) == 2
-        assert g.node_id(eth(C).key) == 3
+        assert g.node_id(eth(A)) == 1
+        assert g.node_id(eth(B)) == 2
+        assert g.node_id(eth(C)) == 3
 
     def test_mixed_case_addresses_share_one_node(self):
         g = InteractionGraph(Chain.ETHEREUM)

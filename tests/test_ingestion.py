@@ -7,7 +7,6 @@ import pytest
 import requests
 
 from ledgernet import (
-    AddressKey,
     Chain,
     CheckpointError,
     EmptyRangeError,
@@ -103,7 +102,7 @@ class TestFixtureProvider:
             {"sender": None, "recipient": ADDR[2], "amount": 9},
         ])
         txs = FixtureProvider(tmp_path).block_transactions(0)
-        assert txs[0].sender.key == ADDR[0]
+        assert txs[0].sender == ADDR[0]
         assert txs[0].timestamp == 1234
         assert txs[1].sender is None
 
@@ -404,16 +403,15 @@ class TestChunkCodec:
                 keys = [canonicalize_address(oracles.random_address(rng), ETH)
                         for _ in range(2)]
             else:
-                keys = [AddressKey(chain, "".join(
-                    rng.choice(alphabet) for _ in range(rng.randint(1, 12))))
+                keys = ["".join(
+                    rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
                     for _ in range(2)]
             sender = None if rng.random() < 0.2 else keys[0]
             big = rng.choice([0, 1, 2**53, 2**64 - 1, 2**64, 10**30, 2**200])
             tx = Transaction(sender, keys[1], rng.randrange(big + 1),
                              rng.randrange(big + 1), rng.randrange(big + 1))
             record = {"h": tx.block_height, "t": tx.timestamp,
-                      "s": None if sender is None else sender.key,
-                      "r": tx.recipient.key, "v": tx.amount}
+                      "s": sender, "r": tx.recipient, "v": tx.amount}
             assert encode_transaction(tx) == json.dumps(
                 record, separators=(",", ":")) + "\n"
 
@@ -513,6 +511,43 @@ class TestFoldChunks:
                                              r"span 0\.\.2") as info:
             fold_chunks(tmp_path, ETH)
         assert (info.value.path, info.value.line) == (path, 2)
+
+    @pytest.mark.parametrize("chain", [ETH, Chain.BITCOIN])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_library_path_yields_the_written_transactions(self, tmp_path, chain,
+                                                          seed):
+        chunk_dir = tmp_path / "chunks"
+        txs = raw_chunk_dir(chunk_dir, random.Random(seed), chain)
+        read = list(iter_chunk_transactions(chunk_dir, chain))
+        assert read == txs
+        assert all(type(tx.recipient) is str and type(tx.sender) in (str, type(None))
+                   for tx in read)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_readers_reject_a_record_outside_its_file_span(self, tmp_path,
+                                                                seed):
+        rng = random.Random(seed)
+        chunk_dir = tmp_path / "chunks"
+        raw_chunk_dir(chunk_dir, rng, ETH)
+        path = rng.choice(list_chunk_files(chunk_dir))
+        first, last = (int(part) for part in path.stem.split("_")[1:])
+        height = rng.choice([last + 1, last + 7]
+                            + ([first - 1] if first else []))
+        lines = path.read_text().splitlines(keepends=True)
+        index = rng.randint(0, len(lines))
+        stray = Transaction(None, ADDR[1], 5, height, 0)
+        lines.insert(index, encode_transaction(stray))
+        path.write_text("".join(lines))
+        errors = []
+        for read in (lambda: fold_chunks(chunk_dir, ETH),
+                     lambda: library_graph(chunk_dir, ETH)):
+            with pytest.raises(ParseError) as info:
+                read()
+            errors.append((str(info.value), info.value.path, info.value.line))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (path, index + 1)
+        assert f"block height {height} is outside the file's span " \
+            f"{first}..{last}" in errors[0][0]
 
     def test_with_checkpoint_matches_library_path(self, tmp_path):
         out = tmp_path / "out"
@@ -847,7 +882,7 @@ class TestEthereumRpcProvider:
 
         txs = self.provider(script).block_transactions(7)
         assert len(txs) == 1
-        assert txs[0].sender.key == ADDR[0]
+        assert txs[0].sender == ADDR[0]
         assert txs[0].amount == 10
         assert txs[0].timestamp == 100
         assert txs[0].block_height == 7
@@ -934,7 +969,7 @@ class TestBitcoinApiProvider:
         routes = {"/block-height/3?format=json": {"blocks": [
             {"main_chain": True, "time": 500, "tx": [tx]}]}}
         txs = self.provider(routes).block_transactions(3)
-        triples = [(t.sender.key, t.recipient.key, t.amount) for t in txs]
+        triples = [(t.sender, t.recipient, t.amount) for t in txs]
         # 7 splits 4 + 3 across the two inputs; the addressless output is skipped
         assert triples == [
             (BTC_IN[0], BTC_OUT[0], 4),

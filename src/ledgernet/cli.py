@@ -19,21 +19,13 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD, compare
 from .errors import LedgerNetError, ParseError, UsageError
-from .formats import (
-    FORMAT_JSON,
-    FORMAT_PAJEK,
-    export_json,
-    export_pajek,
-    import_graph,
-    infer_format,
-)
+from .formats import FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph, infer_format
 from .graph import Chain
 from .metrics import MetricsReport, analyze, graph_fingerprint
 
@@ -44,42 +36,13 @@ ENV_RETRY_CAP = "LEDGERNET_RETRY_CAP"
 ENV_BACKOFF_BASE = "LEDGERNET_BACKOFF_BASE"
 
 DEFAULT_RATE_LIMIT = 10.0
-DEFAULT_BACKOFF_BASE = 0.5
-DEFAULT_BITCOIN_ENDPOINT = "https://blockchain.info"
 
 
-@dataclass
-class RunConfig:
-    """Effective settings of one subcommand run, echoed into its artifacts."""
-
-    chain: str | None = None
-    fixture: str | None = None
-    endpoint: str | None = None
-    api_key: str | None = None
-    rate_limit: float | None = None
-    retry_cap: int | None = None
-    backoff_base: float | None = None
-    from_block: int | None = None
-    to_block: int | None = None
-    from_time: int | None = None
-    to_time: int | None = None
-    slack: int | None = None
-    chunk_size: int | None = None
-    worker_count: int | None = None
-    output_dir: str | None = None
-    graph_format: str | None = None
-    seed: int | None = None
-    samples: int | None = None
-    acc_threshold: float | None = None
-    aspl_threshold: float | None = None
-    sample_sources: int | None = None
-
-    def to_echo_dict(self) -> dict:
-        doc = {}
-        for key, value in asdict(self).items():
-            if value is not None:
-                doc[key] = "REDACTED" if key == "api_key" else value
-        return doc
+def _echo(**settings) -> dict:
+    """The settings a run resolved, as its artifacts echo them: in call
+    order, without the unset ones, with the API key redacted."""
+    return {key: "REDACTED" if key == "api_key" else value
+            for key, value in settings.items() if value is not None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,13 +58,32 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"ledgernet {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    one_thread = "must be >= 1 but has no effect: analysis runs on one thread"
 
     def common(p):
         p.add_argument("--output-dir", default=".", metavar="DIR",
                        help="directory for pipeline artifacts (default: .)")
         p.add_argument("--force", action="store_true",
                        help="rewrite outputs that already exist")
+
+    def graph_command(name, about, report, handler):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--graph", required=True, metavar="PATH")
+        p.add_argument("--format", choices=[FORMAT_JSON, FORMAT_PAJEK],
+                       help="graph file format (default: from file suffix)")
+        p.add_argument("--workers", type=int, default=None, metavar="N",
+                       help="must be >= 1 but has no effect: "
+                            "analysis runs on one thread")
+        p.add_argument("--sample-sources", type=int, default=None, metavar="K",
+                       help="estimate path lengths from K >= 1 BFS sources "
+                            "instead of all")
+        p.add_argument("--seed", type=int, default=0, metavar="N",
+                       help="seed for sampled path lengths and, in compare, "
+                            "the baseline graphs")
+        p.add_argument("--output", metavar="PATH",
+                       help=f"report path (default: {report} beside the graph)")
+        common(p)
+        p.set_defaults(handler=handler)
+        return p
 
     p = sub.add_parser("download", help="fetch a block range into chunk files")
     p.add_argument("--chain", required=True, choices=[c.value for c in Chain])
@@ -118,7 +100,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="download workers (default: logical core count)")
     p.add_argument("--rate-limit", type=float, default=None, metavar="R",
-                   help="max requests per second, 0 disables (default: 10)")
+                   help="max requests per second, 0 disables "
+                        "(default: 10, or 0 with --fixture)")
     p.add_argument("--retry-cap", type=int, default=None, metavar="N",
                    help="max attempts per request (default: retry forever)")
     p.add_argument("--backoff-base", type=float, default=None, metavar="SEC")
@@ -140,38 +123,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("analyze", help="compute network metrics for a graph file")
-    p.add_argument("--graph", required=True, metavar="PATH")
-    p.add_argument("--format", choices=[FORMAT_JSON, FORMAT_PAJEK],
-                   help="graph file format (default: from file suffix)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help=one_thread)
-    p.add_argument("--sample-sources", type=int, default=None, metavar="K",
-                   help="estimate path lengths from K >= 1 BFS sources "
-                        "instead of all")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="seed for sampled path lengths")
-    p.add_argument("--output", metavar="PATH",
-                   help="report path (default: metrics.json beside the graph)")
-    common(p)
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("compare",
-                       help="classify a graph against a random baseline")
-    p.add_argument("--graph", required=True, metavar="PATH")
-    p.add_argument("--format", choices=[FORMAT_JSON, FORMAT_PAJEK])
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    graph_command("analyze", "compute network metrics for a graph file",
+                  "metrics.json", cmd_analyze)
+    p = graph_command("compare", "classify a graph against a random baseline",
+                      "comparison.json", cmd_compare)
     p.add_argument("--samples", type=int, default=1, metavar="N",
                    help="baseline graphs to average (default: 1)")
     p.add_argument("--acc-threshold", type=float, default=DEFAULT_ACC_THRESHOLD)
     p.add_argument("--aspl-threshold", type=float, default=DEFAULT_ASPL_THRESHOLD)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help=one_thread)
-    p.add_argument("--sample-sources", type=int, default=None, metavar="K")
-    p.add_argument("--output", metavar="PATH",
-                   help="report path (default: comparison.json beside the graph)")
-    common(p)
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("report", help="summarize artifacts in a directory")
     p.add_argument("--dir", default=".", metavar="DIR")
@@ -277,6 +236,28 @@ def _skip_existing(path, force: bool) -> bool:
     return False
 
 
+def _report_path(args, name: str) -> Path | None:
+    """Check the flags analyze and compare share, then the report path:
+    ``--output``, or ``name`` beside the graph; None when an existing report
+    is kept."""
+    _workers(args.workers)
+    if args.sample_sources is not None and args.sample_sources < 1:
+        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
+    output = Path(args.output) if args.output else Path(args.graph).parent / name
+    return None if _skip_existing(output, args.force) else output
+
+
+def _report_head(graph_file) -> dict:
+    """The keys that open an analyze or compare report."""
+    return {
+        "tool": "ledgernet",
+        "tool_version": __version__,
+        "generated_at": _now(),
+        "graph_file": str(graph_file),
+        "graph_sha256": _sha256(graph_file),
+    }
+
+
 def cmd_download(args) -> int:
     from .ingestion.checkpoint import Checkpoint
     from .ingestion.chunks import list_chunk_files
@@ -293,13 +274,13 @@ def cmd_download(args) -> int:
                         "endpoint", None, str)
     api_key = _setting(args.api_key, ENV_API_KEY, file_config,
                        "api_key", None, str)
-    rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, file_config,
-                          "rate_limit", DEFAULT_RATE_LIMIT, float,
-                          _finite_non_negative, "a finite number >= 0")
+    rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, file_config, "rate_limit",
+                          DEFAULT_RATE_LIMIT if args.fixture is None else 0.0,
+                          float, _finite_non_negative, "a finite number >= 0")
     retry_cap = _setting(args.retry_cap, ENV_RETRY_CAP, file_config,
                          "retry_cap", None, int, lambda cap: cap >= 1, ">= 1")
     backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, file_config,
-                            "backoff_base", DEFAULT_BACKOFF_BASE, float,
+                            "backoff_base", RetryPolicy.base_delay, float,
                             _finite_non_negative, "a finite number >= 0")
     worker_count = _workers(args.workers) or os.cpu_count() or 1
     if chunk_size < 1:
@@ -325,7 +306,7 @@ def cmd_download(args) -> int:
                              "e.g. an Infura-style JSON-RPC URL")
         provider = EthereumRpcProvider(endpoint, api_key)
     else:
-        provider = BitcoinApiProvider(endpoint or DEFAULT_BITCOIN_ENDPOINT)
+        provider = BitcoinApiProvider(endpoint) if endpoint else BitcoinApiProvider()
     if rate_limit:
         provider = ThrottledProvider(provider, TokenBucket(rate_limit))
     retry_policy = RetryPolicy(base_delay=backoff_base, max_attempts=retry_cap)
@@ -364,14 +345,6 @@ def cmd_download(args) -> int:
     if not tasks:
         print(f"nothing to do: all {planned} chunks are already downloaded")
 
-    config = RunConfig(
-        chain=chain.value, fixture=args.fixture, endpoint=endpoint,
-        api_key=api_key, rate_limit=rate_limit, retry_cap=retry_cap,
-        backoff_base=backoff_base, from_block=args.from_block,
-        to_block=args.to_block, from_time=args.from_time, to_time=args.to_time,
-        slack=slack, chunk_size=chunk_size, worker_count=worker_count,
-        output_dir=str(out_dir))
-
     stop_event = threading.Event()
 
     def on_sigint(signum, frame):
@@ -392,7 +365,13 @@ def cmd_download(args) -> int:
     doc = {
         "tool": "ledgernet",
         "tool_version": __version__,
-        "config": config.to_echo_dict(),
+        "config": _echo(
+            chain=chain.value, fixture=args.fixture, endpoint=endpoint,
+            api_key=api_key, rate_limit=rate_limit, retry_cap=retry_cap,
+            backoff_base=backoff_base, from_block=args.from_block,
+            to_block=args.to_block, from_time=args.from_time,
+            to_time=args.to_time, slack=slack, chunk_size=chunk_size,
+            worker_count=worker_count, output_dir=str(out_dir)),
         "block_range": {"first": block_range.first, "last": block_range.last},
         "chunks_total": planned,
         "chunks_done": len(checkpoint.done),
@@ -449,7 +428,7 @@ def cmd_build(args) -> int:
     graph = fold_chunks(chunk_dir, chain, checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, path in targets.items():
-        (export_json if fmt == FORMAT_JSON else export_pajek)(graph, path)
+        export_graph(graph, path, fmt)
     written = ", ".join(str(path) for path in targets.values())
     print(f"built {chain.value} graph: {graph.node_count} nodes, "
           f"{graph.edge_count} edges -> {written}")
@@ -457,26 +436,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _workers(args.workers)
-    if args.sample_sources is not None and args.sample_sources < 1:
-        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
-    output = (Path(args.output) if args.output
-              else Path(args.graph).parent / "metrics.json")
-    if _skip_existing(output, args.force):
+    output = _report_path(args, "metrics.json")
+    if output is None:
         return 0
     graph, fmt = _load_graph(args)
     report = analyze(graph, sample_sources=args.sample_sources, seed=args.seed)
-    config = RunConfig(graph_format=fmt, seed=args.seed,
-                       sample_sources=args.sample_sources)
-    doc = {
-        "tool": "ledgernet",
-        "tool_version": __version__,
-        "generated_at": _now(),
-        "graph_file": str(args.graph),
-        "graph_sha256": _sha256(args.graph),
-        "graph_fingerprint": graph_fingerprint(graph),
-        "config": config.to_echo_dict(),
-    }
+    doc = _report_head(args.graph)
+    doc["graph_fingerprint"] = graph_fingerprint(graph)
+    doc["config"] = _echo(graph_format=fmt, seed=args.seed,
+                          sample_sources=args.sample_sources)
     doc.update(report.to_json_dict())
     _write_json(output, doc)
     acc = "undefined" if report.graph_acc is None else f"{report.graph_acc:.6g}"
@@ -516,18 +484,14 @@ def _subject_text(source) -> str:
 
 
 def cmd_compare(args) -> int:
-    _workers(args.workers)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     for flag, value in (("--acc-threshold", args.acc_threshold),
                         ("--aspl-threshold", args.aspl_threshold)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be a finite number, got {value}")
-    if args.sample_sources is not None and args.sample_sources < 1:
-        raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
-    output = (Path(args.output) if args.output
-              else Path(args.graph).parent / "comparison.json")
-    if _skip_existing(output, args.force):
+    output = _report_path(args, "comparison.json")
+    if output is None:
         return 0
     graph, fmt = _load_graph(args)
     subject = _reusable_subject(args, graph)
@@ -536,19 +500,12 @@ def cmd_compare(args) -> int:
                          aspl_threshold=args.aspl_threshold,
                          sample_sources=args.sample_sources, subject=subject)
     source = "computed" if subject is None else "metrics.json"
-    config = RunConfig(graph_format=fmt, seed=args.seed, samples=args.samples,
-                       acc_threshold=args.acc_threshold,
-                       aspl_threshold=args.aspl_threshold,
-                       sample_sources=args.sample_sources)
-    doc = {
-        "tool": "ledgernet",
-        "tool_version": __version__,
-        "generated_at": _now(),
-        "graph_file": str(args.graph),
-        "graph_sha256": _sha256(args.graph),
-        "config": config.to_echo_dict(),
-        "subject_source": source,
-    }
+    doc = _report_head(args.graph)
+    doc["config"] = _echo(graph_format=fmt, seed=args.seed, samples=args.samples,
+                          acc_threshold=args.acc_threshold,
+                          aspl_threshold=args.aspl_threshold,
+                          sample_sources=args.sample_sources)
+    doc["subject_source"] = source
     doc.update(comparison.to_json_dict())
     _write_json(output, doc)
     verdict = comparison.verdict

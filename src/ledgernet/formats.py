@@ -4,12 +4,13 @@ Both encodings carry the same information: the vertex list in ID order and
 the undirected weighted edge list.  Directed activity counters are not part
 of graph files; they can only be rebuilt from transaction chunk files.
 Exports are byte-deterministic so identical graphs always produce identical
-files.
+files, and replace an existing file atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 
 from .errors import ExportError, ParseError, UsageError
@@ -70,14 +71,31 @@ def export_pajek(graph: InteractionGraph, path) -> None:
 
 def _write(path, text: str, encoding: str) -> None:
     """Write ``text`` and a final newline to ``path``, encoded in full
-    before the file is opened."""
+    before any file is opened."""
     try:
-        data = text.encode(encoding)
-        with open(path, "wb") as fh:
-            fh.write(data)
-            fh.write(b"\n")
+        atomic_write(path, text.encode(encoding), b"\n")
     except (OSError, UnicodeEncodeError) as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
+
+
+def atomic_write(path, *parts: bytes) -> None:
+    """Write ``parts`` to a temp file beside ``path``, fsync it and rename it
+    over ``path``: a crash at any instant leaves the older file or the new
+    one, never a torn one.  A failed write removes the temp file."""
+    temp = f"{path}.tmp"
+    try:
+        with open(temp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.remove(temp)
+        except OSError:
+            pass
+        raise
 
 
 def export_graph(graph: InteractionGraph, path, fmt: str) -> None:

@@ -34,7 +34,7 @@ class Chain(str, Enum):
 # a key unchanged and maps any other key to one or rejects it.
 _CANONICAL_KEY = {
     Chain.ETHEREUM: re.compile(r"0x[0-9a-f]{40}").fullmatch,
-    Chain.BITCOIN: re.compile(r"\S+").fullmatch,
+    Chain.BITCOIN: re.compile(r"[^\s\ud800-\udfff]+").fullmatch,
 }
 
 
@@ -43,7 +43,8 @@ def canonicalize_address(raw: str, chain: Chain | str) -> str:
 
     Ethereum addresses become lowercase ``0x``-prefixed 40-digit hex (the
     prefix may be missing on input).  Bitcoin addresses are kept verbatim
-    apart from trimming surrounding whitespace.
+    apart from trimming surrounding whitespace; one with a lone surrogate,
+    which no graph file can encode, is rejected.
     """
     if not isinstance(chain, Chain):
         try:

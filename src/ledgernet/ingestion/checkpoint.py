@@ -9,10 +9,10 @@ the previous or the next consistent state on disk, never a torn file.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from ..errors import CheckpointError
+from ..formats import atomic_write
 from ..graph import Chain
 
 FORMAT_VERSION = 1
@@ -78,13 +78,8 @@ class Checkpoint:
         }
 
     def save(self, path) -> None:
-        payload = json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n"
-        temp = f"{path}.tmp"
-        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(temp, path)
+        atomic_write(path, json.dumps(self.to_json_dict(),
+                                      separators=(",", ":")).encode(), b"\n")
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

@@ -128,6 +128,7 @@ def _records(files: list[Path], chain: Chain | str
     """``(height, timestamp, sender, recipient, amount)`` of every line of
     ``files`` (sorted by span) in order; overlapping files, a bad line and a
     record outside its file's block span raise ParseError."""
+    chain = Chain(chain)
     for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
         with open(path, "r", encoding="utf-8") as fh:
@@ -170,7 +171,6 @@ def fold_chunks(chunk_dir, chain: Chain | str,
             raise CheckpointError(f"chunk {missing[0]} is marked done in the "
                                   f"checkpoint but missing from {chunk_dir}")
         files = [path for path in files if plan[path.name]]
-    chain = Chain(chain)
     graph = InteractionGraph(chain)
     add_transfer = graph.add_transfer
     for _, _, sender, recipient, amount in _records(files, chain):

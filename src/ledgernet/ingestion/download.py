@@ -22,6 +22,7 @@ import os
 import random
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -162,27 +163,13 @@ def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,
         raise EmptyRangeError(
             f"no blocks in [{interval.start}, {interval.end}]")
 
-    lo, hi = 0, latest
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stamp(mid) >= interval.start:
-            hi = mid
-        else:
-            lo = mid + 1
-    first = lo
+    first = bisect_left(range(latest + 1), interval.start, key=stamp)
     for height in range(max(0, first - slack), first):
         if stamp(height) >= interval.start:
             first = height
             break
 
-    lo, hi = 0, latest
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if stamp(mid) <= interval.end:
-            lo = mid
-        else:
-            hi = mid - 1
-    last = lo
+    last = bisect_right(range(latest + 1), interval.end, key=stamp) - 1
     for height in range(min(latest, last + slack), last, -1):
         if stamp(height) <= interval.end:
             last = height

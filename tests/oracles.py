@@ -262,8 +262,8 @@ def random_address(rng: random.Random, chain: Chain = ETH) -> str:
 def canonical_key(raw, chain: Chain) -> str:
     """``canonicalize_address(raw, chain)`` by the rules alone: strip,
     then for Ethereum lowercase, drop a ``0x`` and require 40 hex digits,
-    for Bitcoin require no inner whitespace.  Raises ValueError with
-    ``canonicalize_address``'s message for a key it rejects."""
+    for Bitcoin require no inner whitespace and no lone surrogate.  Raises
+    ValueError with ``canonicalize_address``'s message for a key it rejects."""
     chain = Chain(chain)
     if not isinstance(raw, str) or not raw.strip():
         raise ValueError(f"empty {chain.value} address")
@@ -273,7 +273,7 @@ def canonical_key(raw, chain: Chain) -> str:
         if len(text) != 40 or any(c not in "0123456789abcdef" for c in text):
             raise ValueError(f"malformed ethereum address: {raw!r}")
         return "0x" + text
-    if any(c.isspace() for c in text):
+    if any(c.isspace() or "\ud800" <= c <= "\udfff" for c in text):
         raise ValueError(f"malformed bitcoin address: {raw!r}")
     return text
 
@@ -296,7 +296,7 @@ def random_raw_address(rng: random.Random, chain: Chain) -> str:
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 34)))
         if rng.random() < 0.1 and text:
             i = rng.randrange(len(text) + 1)
-            text = text[:i] + rng.choice(space) + text[i:]
+            text = text[:i] + rng.choice(space + ["\ud800", "\udfff"]) + text[i:]
     if rng.random() < 0.3:
         text = rng.choice(space) + text + rng.choice(space + [""])
     return text

@@ -320,6 +320,46 @@ class TestDownload:
         assert capsys.readouterr().err == "usage error: --slack must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_fixture_download_is_not_throttled_by_default(self, fixture_dir,
+                                                          tmp_path, monkeypatch):
+        from ledgernet.ingestion import providers
+
+        rates = []
+
+        class RecordingBucket:
+            def __init__(self, rate):
+                rates.append(rate)
+
+            def acquire(self):
+                pass
+
+        monkeypatch.setattr(providers, "TokenBucket", RecordingBucket)
+        download(fixture_dir, tmp_path / "o1")
+        assert rates == []
+        text = (tmp_path / "o1" / "download_summary.json").read_text()
+        assert '"rate_limit": 0.0,' in text
+
+        monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "3")
+        download(fixture_dir, tmp_path / "o2")
+        assert rates == [3.0]
+        config = read_json(tmp_path / "o2" / "download_summary.json")["config"]
+        assert config["rate_limit"] == 3
+
+    def test_surrogate_bitcoin_address_is_rejected_at_download(self, tmp_path,
+                                                              capsys):
+        fixture = make_fixture(tmp_path / "fx", block_count=1, chain="bitcoin")
+        doc = json.loads((fixture / "block_00000000.json").read_text())
+        doc["transactions"][0]["sender"] = "a\ud800"
+        (fixture / "block_00000000.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("download", "--chain", "bitcoin", "--fixture", fixture,
+                       "--from-block", 0, "--to-block", 0,
+                       "--output-dir", out) == 2
+        assert capsys.readouterr().err == (
+            "error: fixture block 0 malformed: "
+            "malformed bitcoin address: 'a\\ud800'\n")
+        assert list_chunk_files(out / "chunks") == []
+
 
 class TestBuild:
     def test_both_formats(self, fixture_dir, tmp_path, capsys):
@@ -411,18 +451,23 @@ class TestBuild:
                                                          fmt, key):
         chunks = tmp_path / "chunks"
         chunks.mkdir()
-        (chunks / "chunk_0_0.ndjson").write_text(json.dumps(
+        chunk = chunks / "chunk_0_0.ndjson"
+        chunk.write_text(json.dumps(
             {"h": 0, "t": 1, "s": key, "r": "b", "v": 5}) + "\n")
         out = tmp_path / "out"
         path = out / f"graph.{fmt}"
+        # a lone surrogate is no bitcoin address: decoding the chunk rejects it
+        expected = (f"error: {chunk}: line 1: malformed bitcoin address: "
+                    if "\ud800" in key else f"error: cannot write {path}: ")
         argv = ("build", "--chain", "bitcoin", "--chunks", chunks,
                 "--output-dir", out, "--format", fmt)
         for _ in range(2):  # the rerun finds no empty file to keep
             assert run_cli(*argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: cannot write {path}: ")
+            assert err.startswith(expected)
             assert err.count("\n") == 1
             assert not path.exists()
+        out.mkdir(exist_ok=True)  # a build that stops at decoding makes none
         path.write_bytes(b"older graph\n")
         assert run_cli(*argv, "--force") == 2
         assert path.read_bytes() == b"older graph\n"
@@ -768,6 +813,74 @@ class TestCompareReuse:
         capsys.readouterr()
         run_cli("report", "--dir", built)
         assert ", subject from metrics.json)" in capsys.readouterr().out
+
+
+class TestEcho:
+    """Each artifact opens with the same keys in the same order, and its
+    ``config`` lists the settings in one fixed order."""
+
+    def test_download_config_key_order(self, fixture_dir, tmp_path):
+        out = tmp_path / "by_time"
+        assert run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       "--endpoint", "https://rpc.example", "--api-key", "k",
+                       "--from-time", 0, "--to-time", 450, "--retry-cap", 2,
+                       "--output-dir", out) == 0
+        assert list(read_json(out / "download_summary.json")["config"]) == [
+            "chain", "fixture", "endpoint", "api_key", "rate_limit", "retry_cap",
+            "backoff_base", "from_time", "to_time", "slack", "chunk_size",
+            "worker_count", "output_dir"]
+        out = tmp_path / "by_block"
+        download(fixture_dir, out)
+        assert list(read_json(out / "download_summary.json")["config"]) == [
+            "chain", "fixture", "rate_limit", "backoff_base", "from_block",
+            "to_block", "slack", "chunk_size", "worker_count", "output_dir"]
+
+    def test_report_head_and_config_key_order(self, built):
+        head = ["tool", "tool_version", "generated_at", "graph_file", "graph_sha256"]
+        assert run_cli("analyze", "--graph", built / "graph.json",
+                       "--sample-sources", 2) == 0
+        doc = read_json(built / "metrics.json")
+        assert list(doc)[:7] == head + ["graph_fingerprint", "config"]
+        assert list(doc["config"]) == ["graph_format", "seed", "sample_sources"]
+        assert run_cli("compare", "--graph", built / "graph.json",
+                       "--sample-sources", 2) == 0
+        doc = read_json(built / "comparison.json")
+        assert list(doc)[:7] == head + ["config", "subject_source"]
+        assert list(doc["config"]) == ["graph_format", "seed", "samples",
+                                       "acc_threshold", "aspl_threshold",
+                                       "sample_sources"]
+
+
+class TestGraphCommands:
+    """analyze and compare share one front end."""
+
+    def test_accept_the_same_shared_flags(self, tmp_path):
+        shared = ["--graph", "g.net", "--format", "json", "--workers", "2",
+                  "--sample-sources", "3", "--seed", "4", "--output", "r.json",
+                  "--output-dir", "d", "--force"]
+        analyze_args, compare_args = (
+            {key: value for key, value
+             in vars(cli._build_parser().parse_args([command, *shared])).items()
+             if key not in ("command", "handler")}
+            for command in ("analyze", "compare"))
+        assert analyze_args == {
+            "graph": "g.net", "format": "json", "workers": 2, "sample_sources": 3,
+            "seed": 4, "output": "r.json", "output_dir": "d", "force": True}
+        assert {key: compare_args[key] for key in analyze_args} == analyze_args
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--workers", "--workers must be >= 1, got 0"),
+        ("--sample-sources", "--sample-sources must be >= 1, got 0"),
+    ])
+    def test_shared_flag_message_with_an_existing_report(self, built, capsys,
+                                                         command, flag, message):
+        report = built / ("metrics.json" if command == "analyze"
+                          else "comparison.json")
+        report.write_text("{}\n")
+        assert run_cli(command, "--graph", built / "graph.json", flag, 0) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert report.read_text() == "{}\n"
 
 
 class TestReport:

@@ -87,6 +87,33 @@ class TestExportJson:
             export_json(two_node_graph(), tmp_path)
 
 
+class TestAtomicReplace:
+    """Exports write a temp file beside the target and rename it over it."""
+
+    @pytest.mark.parametrize("export", [export_json, export_pajek])
+    def test_export_onto_a_directory_leaves_no_temp_file(self, tmp_path, export):
+        target = tmp_path / "graph"
+        target.mkdir()
+        with pytest.raises(ExportError):
+            export(two_node_graph(), target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph"]
+
+    @pytest.mark.parametrize("export", [export_json, export_pajek])
+    def test_failed_rename_keeps_the_older_file(self, tmp_path, monkeypatch,
+                                                export):
+        path = tmp_path / "g"
+        path.write_bytes(b"older graph\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(ExportError, match="rename refused"):
+            export(two_node_graph(), path)
+        assert path.read_bytes() == b"older graph\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestUnencodableGraph:
     """An export encodes its whole payload before it opens the file."""
 

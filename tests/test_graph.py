@@ -86,6 +86,11 @@ class TestCanonicalizeAddress:
         with pytest.raises(AddressError):
             btc(raw)
 
+    @pytest.mark.parametrize("raw", ["a\ud800", "\udfff", "\ud83d\ude00"])
+    def test_bitcoin_rejects_lone_surrogates(self, raw):
+        with pytest.raises(AddressError, match="malformed bitcoin address"):
+            btc(raw)
+
     def test_unknown_chain_rejected(self):
         with pytest.raises(AddressError):
             canonicalize_address(A, "dogecoin")

@@ -131,11 +131,21 @@ def _require(condition: bool, message: str, path, line=None, offset=None) -> Non
         raise ParseError(message, path=path, line=line, offset=offset)
 
 
+def _int(digits: str, path, line: int) -> int:
+    """``int(digits)``; more digits than int() converts raise ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=line, offset=1) from exc
+
+
 def _parse_json(text: str, path) -> InteractionGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from exc
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ParseError(str(exc), path=path) from exc
     _require(isinstance(doc, dict), "top-level value is not an object", path)
     unknown = set(doc) - {"chain", "vertices", "edges"}
     _require(not unknown, f"unknown keys: {sorted(unknown)}", path)
@@ -192,7 +202,7 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
     _require(header.startswith("*Vertices ") and header[10:].isascii()
              and header[10:].isdigit(),
              f"expected '*Vertices <n>', got {header!r}", path, line=1, offset=1)
-    count = int(header[10:])
+    count = _int(header[10:], path, 1)
     _require(len(lines) >= count + 2,
              f"file ends inside the {count}-vertex section", path,
              line=len(lines), offset=1)
@@ -204,7 +214,7 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         offset = 1
         if match is None:
             problem = f"bad vertex line: {lines[idx]!r}"
-        elif int(match.group(1)) != idx:
+        elif _int(match.group(1), path, idx + 1) != idx:
             problem = f"vertex IDs must run 1..{count}; got {match.group(1)}"
         elif not (key := match.group(2)) or key in ids:
             problem = f"empty or duplicate vertex key: {key!r}"
@@ -223,7 +233,10 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         if match is None:
             raise ParseError(f"bad edge line: {lines[idx]!r}", path=path,
                              line=idx + 1, offset=1)
-        a, b, amount = map(int, match.groups())
+        try:
+            a, b, amount = map(int, match.groups())
+        except ValueError as exc:  # an integer longer than int() converts
+            raise ParseError(str(exc), path=path, line=idx + 1, offset=1) from exc
         if not (0 < a <= count and 0 < b <= count):
             problem = f"edge names unknown vertex {b if 0 < a <= count else a}"
         elif a == b:

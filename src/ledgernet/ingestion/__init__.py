@@ -1,57 +1,49 @@
-"""Block download, transaction chunk files, and resumable checkpoints."""
+"""Block download, transaction chunk files, and resumable checkpoints.
 
-from .checkpoint import Checkpoint
-from .chunks import (
-    chunk_filename,
-    decode_transaction,
-    encode_transaction,
-    fold_chunks,
-    iter_chunk_transactions,
-    list_chunk_files,
-)
-from .download import (
-    BlockRange,
-    DownloadSummary,
-    DownloadTask,
-    RetryPolicy,
-    TimeInterval,
-    call_with_retry,
-    fetch_block_transactions,
-    plan_tasks,
-    resolve_block_range,
-    run_download,
-)
-from .providers import (
-    BitcoinApiProvider,
-    BlockProvider,
-    EthereumRpcProvider,
-    FixtureProvider,
-    ThrottledProvider,
-    TokenBucket,
-)
+The public names load their module on first use (PEP 562), so code that
+reads chunk files and checkpoints, such as ``build``, loads no download code.
+"""
 
-__all__ = [
-    "BitcoinApiProvider",
-    "BlockProvider",
-    "BlockRange",
-    "Checkpoint",
-    "DownloadSummary",
-    "DownloadTask",
-    "EthereumRpcProvider",
-    "FixtureProvider",
-    "RetryPolicy",
-    "ThrottledProvider",
-    "TimeInterval",
-    "TokenBucket",
-    "call_with_retry",
-    "chunk_filename",
-    "decode_transaction",
-    "encode_transaction",
-    "fetch_block_transactions",
-    "fold_chunks",
-    "iter_chunk_transactions",
-    "list_chunk_files",
-    "plan_tasks",
-    "resolve_block_range",
-    "run_download",
-]
+import importlib
+
+_MODULE_OF = {
+    "Checkpoint": "checkpoint",
+    **dict.fromkeys([
+        "chunk_filename",
+        "decode_transaction",
+        "encode_transaction",
+        "fold_chunks",
+        "iter_chunk_transactions",
+        "list_chunk_files",
+    ], "chunks"),
+    **dict.fromkeys([
+        "BlockRange",
+        "DownloadSummary",
+        "DownloadTask",
+        "RetryPolicy",
+        "TimeInterval",
+        "call_with_retry",
+        "fetch_block_transactions",
+        "plan_tasks",
+        "resolve_block_range",
+        "run_download",
+    ], "download"),
+    **dict.fromkeys([
+        "BitcoinApiProvider",
+        "BlockProvider",
+        "EthereumRpcProvider",
+        "FixtureProvider",
+        "ThrottledProvider",
+        "TokenBucket",
+    ], "providers"),
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

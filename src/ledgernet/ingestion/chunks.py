@@ -6,6 +6,11 @@ keep month-scale downloads compact on disk:
 
     {"h": height, "t": timestamp, "s": sender-or-null, "r": recipient, "v": amount}
 
+A line as ``encode_transaction`` writes it (these fields in this order, no
+spaces, integers without leading zeros, keys already canonical and free of
+JSON escapes) is read by one pattern match; any other line is parsed as JSON
+under the same rules, so both give the same record or the same error.
+
 Chunk files are the durable hand-off between the downloader and the graph
 builder, and the only place directed per-transaction detail survives.
 """
@@ -30,6 +35,15 @@ from .checkpoint import Checkpoint
 _CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
 _FIELDS = ("h", "t", "s", "r", "v")
 _FIELD_SET = frozenset(_FIELDS)
+# The line encode_transaction writes, by chain, when its keys are canonical
+# and need no JSON escape (for Bitcoin, printable ASCII but space, '"' and
+# '\'); 78 digits cover 2**256.
+_DIGITS = "(?:0|[1-9][0-9]{0,77})"
+_WRITTEN_LINE = {chain: re.compile(
+    r'\{"h":(%s),"t":(-?%s),"s":(?:null|"(%s)"),"r":"(%s)","v":(%s)\}\n?'
+    % (_DIGITS, _DIGITS, key, key, _DIGITS)).fullmatch
+    for chain, key in ((Chain.ETHEREUM, "0x[0-9a-f]{40}"),
+                       (Chain.BITCOIN, r'[!#-\[\]-~]+'))}
 
 
 def chunk_filename(first: int, last: int) -> str:
@@ -59,6 +73,8 @@ def _decode_record(line: str, chain: Chain | str, path,
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ParseError(str(exc), path=path, line=line_no) from exc
     try:
         if not isinstance(record, dict) or record.keys() != _FIELD_SET:
             raise ValueError(
@@ -129,17 +145,24 @@ def _records(files: list[Path], chain: Chain | str
     ``files`` (sorted by span) in order; overlapping files, a bad line and a
     record outside its file's block span raise ParseError."""
     chain = Chain(chain)
+    written = _WRITTEN_LINE[chain]
     for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if line.strip():
+                match = written(line)
+                if match is not None:
+                    h, t, s, r, v = match.groups()
+                    record = (int(h), int(t), s, r, int(v))
+                elif line.strip():
                     record = _decode_record(line, chain, path, line_no)
-                    if not first <= record[0] <= last:
-                        raise ParseError(f"block height {record[0]} is outside "
-                                         f"the file's span {first}..{last}",
-                                         path=path, line=line_no)
-                    yield record
+                else:
+                    continue
+                if not first <= record[0] <= last:
+                    raise ParseError(f"block height {record[0]} is outside "
+                                     f"the file's span {first}..{last}",
+                                     path=path, line=line_no)
+                yield record
 
 
 def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transaction]:

@@ -472,6 +472,21 @@ class TestBuild:
         assert run_cli(*argv, "--force") == 2
         assert path.read_bytes() == b"older graph\n"
 
+    def test_amount_past_the_int_digit_limit_exits_2(self, fixture_dir, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        chunk = out / "chunks" / "chunk_3_5.ndjson"
+        lines = chunk.read_text().splitlines(keepends=True)
+        amount = json.loads(lines[1])["v"]
+        lines[1] = lines[1].replace(f'"v":{amount}}}', '"v":' + "9" * 5000 + "}")
+        chunk.write_text("".join(lines))
+        assert run_cli("build", "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {chunk}: line 2: Exceeds the limit ")
+        assert err.count("\n") == 1
+        assert not (out / "graph.json").exists()
+
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -537,6 +552,24 @@ class TestAnalyze:
         assert run_cli("analyze", "--graph", bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: cannot read graph file: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("graph.json", '{"vertices":["A","B"],"edges":[["A","B",%s]]}\n', ""),
+        ("graph.pajek", '*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 %s\n',
+         "line 5, column 1: "),
+        ("graph.pajek", '*Vertices 2\n%s "A"\n2 "B"\n*Edges\n',
+         "line 2, column 1: "),
+        ("graph.pajek", "*Vertices %s\n", "line 1, column 1: "),
+    ], ids=["json-amount", "pajek-amount", "pajek-vertex-id", "pajek-count"])
+    def test_integer_past_the_int_digit_limit_exits_2(self, tmp_path, capsys,
+                                                      name, text, where):
+        bad = tmp_path / name
+        bad.write_text(text % ("1" * 5000))
+        assert run_cli("analyze", "--graph", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {where}Exceeds the limit ")
         assert err.count("\n") == 1
         assert not (tmp_path / "metrics.json").exists()
 
@@ -971,6 +1004,22 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert lines[0] == lines[-1] == "[False, False, False]", result.stdout
+
+    def test_build_loads_no_download_code(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        assert download(fixture_dir, out) == 0
+        code = ("import sys, ledgernet.cli as cli\n"
+                f"assert cli.main(['build', '--output-dir', {str(out)!r},\n"
+                "                 '--format', 'both']) == 0\n"
+                "names = ('ledgernet.ingestion.download', 'ledgernet.ingestion.providers',\n"
+                "         'concurrent.futures', 'requests')\n"
+                "print([n for n in names if n in sys.modules])\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env=dict(os.environ, PYTHONPATH=SRC),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", result.stdout
+        assert (out / "graph.pajek").exists()
 
 
 class TestInterrupt:

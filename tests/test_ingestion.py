@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import threading
@@ -15,6 +16,8 @@ from ledgernet import (
     Transaction,
     build_graph,
     canonicalize_address,
+    cli,
+    export_json,
 )
 from ledgernet.ingestion import (
     BitcoinApiProvider,
@@ -39,6 +42,8 @@ from ledgernet.ingestion import (
     resolve_block_range,
     run_download,
 )
+from ledgernet.ingestion import chunks
+from ledgernet.ingestion.chunks import _decode_record, _records, write_chunk
 from ledgernet.ingestion.providers import write_fixture_block, write_fixture_meta
 
 import oracles
@@ -600,6 +605,200 @@ class TestFoldChunks:
              if not 6 <= tx.block_height <= 8), ETH)
         assert (graph_state(fold_chunks(out / "chunks", ETH, checkpoint))
                 == graph_state(expected))
+
+
+BTC = Chain.BITCOIN
+SATOSHI = "1BoatSLRHtKNngkdXEeobR76b53LETtpyT"
+
+
+def chunk_line(h="1", t="2", s="null", r=f'"{ADDR[1]}"', v="5"):
+    """A chunk line in the written field order, from raw JSON values."""
+    return f'{{"h":{h},"t":{t},"s":{s},"r":{r},"v":{v}}}'
+
+
+# Lines just inside or just outside the shape encode_transaction writes.
+# Each must read as json.loads reads it, whichever path takes it.
+NEAR_MISS_LINES = [
+    (ETH, chunk_line(h="01")),
+    (ETH, chunk_line(t="01")),
+    (ETH, chunk_line(v="00")),
+    (ETH, chunk_line(t="-0")),
+    (ETH, chunk_line(t="-7")),
+    (ETH, chunk_line(h="-1")),
+    (ETH, chunk_line(v="-5")),
+    (ETH, chunk_line(h="true")),
+    (ETH, chunk_line(v="5.0")),
+    (ETH, chunk_line(v="5e0")),
+    (ETH, chunk_line(v="9" * 78)),
+    (ETH, chunk_line(v="9" * 79)),
+    (ETH, chunk_line(v="1" + "0" * 4300)),
+    (ETH, chunk_line(r=f'"{ADDR[1].upper()}"')),
+    (ETH, chunk_line(s=f'"{ADDR[0][:2] + ADDR[0][2:].upper()}"')),
+    (ETH, chunk_line(r=f'"{ADDR[1][2:]}"')),
+    (ETH, chunk_line(s=f'"{ADDR[0][:-1]}"')),
+    (ETH, chunk_line(s=f'"{ADDR[0]}0"')),
+    (ETH, chunk_line(r=r'"0x\u0062' + "b" * 39 + '"')),
+    (ETH, chunk_line(s=r'"\u0030x' + "a" * 40 + '"')),
+    (ETH, chunk_line(s='""')),
+    (ETH, chunk_line(s="NULL")),
+    (ETH, chunk_line(r=f'"{ADDR[1]} "')),
+    (ETH, chunk_line(r=f'"{ADDR[1]}\\t"')),
+    (ETH, chunk_line(r=f'"{ADDR[1]}\t"')),
+    (ETH, '{"t":2,"h":1,"s":null,"r":"' + ADDR[1] + '","v":5}'),
+    (ETH, '{"h":1,"h":2,"t":2,"s":null,"r":"' + ADDR[1] + '","v":5}'),
+    (ETH, '{"h": 1,"t":2,"s":null,"r":"' + ADDR[1] + '","v":5}'),
+    (ETH, '{ "h":1,"t":2,"s":null,"r":"' + ADDR[1] + '","v":5}'),
+    (ETH, " " + chunk_line()),
+    (ETH, chunk_line() + " "),
+    (ETH, chunk_line() + "x"),
+    (ETH, chunk_line()[:-1]),
+    (BTC, chunk_line(r=f'"{SATOSHI}"')),
+    (BTC, chunk_line(s=f'"{ADDR[0]}"', r='"!#[]~"')),
+    (BTC, chunk_line(r='"1Boat SLR"')),
+    (BTC, chunk_line(r=f'" {SATOSHI}"')),
+    (BTC, chunk_line(r=f'"{SATOSHI}\\n"')),
+    (BTC, chunk_line(r=r'"1Bo\"at"')),
+    (BTC, chunk_line(r=r'"1Bo\\at"')),
+    (BTC, chunk_line(r=r'"1Bo\/at"')),
+    (BTC, chunk_line(r=r'"1Bo\u0061t"')),
+    (BTC, chunk_line(r='"1Boat\u00e9"')),
+    (BTC, chunk_line(r=r'"1Boat\u00e9"')),
+    (BTC, chunk_line(r='"1Boat\x7f"')),
+    (BTC, chunk_line(r='"1Boat\x1f"')),
+    (BTC, chunk_line(r=r'"1Boat\ud800"')),
+]
+
+
+def decoded(chunk_dir, chain):
+    """What every reader must give for ``chunk_dir``: ``_decode_record`` of
+    each non-blank line in file order, then the ParseError of the first line
+    it rejects, or None."""
+    records = []
+    for path in list_chunk_files(chunk_dir):
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        records.append(_decode_record(line, chain, path, line_no))
+                    except ParseError as exc:
+                        return records, exc
+    return records, None
+
+
+def fault(exc):
+    return str(exc), exc.path, exc.line
+
+
+def assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys):
+    """``_records``, ``iter_chunk_transactions``, ``fold_chunks`` and the
+    ``build`` command give ``decoded``'s records, or its error."""
+    records, error = decoded(chunk_dir, chain)
+    txs = [Transaction(s, r, v, h, t) for h, t, s, r, v in records]
+    read = []
+    with pytest.raises(ParseError) if error else contextlib.nullcontext() as info:
+        read.extend(_records(list_chunk_files(chunk_dir), chain))
+    assert read == records
+    assert [tuple(map(type, r)) for r in read] == [tuple(map(type, r)) for r in records]
+    expected = build_graph(txs, chain)
+    for reader, result in ((lambda: list(iter_chunk_transactions(chunk_dir, chain)),
+                            txs),
+                           (lambda: graph_state(fold_chunks(chunk_dir, chain)),
+                            graph_state(expected))):
+        if error is None:
+            assert reader() == result
+        else:
+            assert fault(info.value) == fault(error)
+            with pytest.raises(ParseError) as again:
+                reader()
+            assert fault(again.value) == fault(error)
+    out = tmp_path / "built"
+    # JSON, since Pajek cannot hold a non-ASCII key
+    code = cli.main(["build", "--chain", chain.value, "--chunks", str(chunk_dir),
+                     "--output-dir", str(out), "--format", "json", "--force"])
+    if error is None:
+        assert code == 0
+        export_json(expected, tmp_path / "expected.json")
+        assert ((out / "graph.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def compact(chunk_dir):
+    """Rewrite every line of ``chunk_dir`` with compact separators, as
+    ``encode_transaction`` writes it, keeping its keys as they are."""
+    for path in list_chunk_files(chunk_dir):
+        path.write_text("".join(
+            json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+            if line.strip() else line
+            for line in path.read_text().splitlines(keepends=True)))
+
+
+class TestWrittenLineFastPath:
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_written_lines_are_not_parsed_as_json(self, tmp_path, monkeypatch,
+                                                  chain, seed):
+        txs = raw_chunk_dir(tmp_path / "raw", random.Random(seed), chain)
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        write_chunk(chunk_dir / chunk_filename(0, 200), txs)
+
+        def refuse(line, *args):
+            raise AssertionError(f"parsed as JSON: {line!r}")
+
+        monkeypatch.setattr(chunks, "_decode_record", refuse)
+        assert list(iter_chunk_transactions(chunk_dir, chain)) == txs
+        assert (graph_state(fold_chunks(chunk_dir, chain))
+                == graph_state(build_graph(txs, chain)))
+
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("as_written", [False, True])
+    def test_raw_chunk_dirs_read_like_decode(self, tmp_path, capsys, chain, seed,
+                                             as_written):
+        chunk_dir = tmp_path / "chunks"
+        raw_chunk_dir(chunk_dir, random.Random(seed), chain)
+        if as_written:
+            compact(chunk_dir)
+        assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
+
+    @pytest.mark.parametrize("chain, line",
+                             NEAR_MISS_LINES + [(ETH, line) for line in MALFORMED_LINES],
+                             ids=lambda value: None if isinstance(value, Chain) else
+                             value.replace(ADDR[0], "A").replace(ADDR[1], "B")[:60])
+    def test_near_miss_lines_read_like_decode(self, tmp_path, capsys, chain, line):
+        key = ADDR[1] if chain is ETH else SATOSHI
+        good = encode_transaction(Transaction(None, key, 5, 1, 100))
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        (chunk_dir / chunk_filename(0, 9)).write_text(
+            good + "\n" + good + line + "\n" + good, encoding="utf-8")
+        assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_endings_read_like_decode(self, tmp_path, capsys, ending):
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        txs = oracles.random_transactions(random.Random(3), count=20)
+        (chunk_dir / chunk_filename(0, 3)).write_bytes(ending.join(
+            encode_transaction(tx)[:-1] for tx in txs).encode())
+        assert_readers_match_decode(chunk_dir, ETH, tmp_path, capsys)
+        assert list(iter_chunk_transactions(chunk_dir, ETH)) == txs
+
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    def test_random_raw_keys_read_like_decode(self, tmp_path, capsys, chain):
+        rng = random.Random(31)
+        for index in range(150):
+            chunk_dir = tmp_path / f"chunks{index}"
+            chunk_dir.mkdir()
+            keys = [json.dumps(oracles.random_raw_address(rng, chain))
+                    for _ in range(2)]
+            line = chunk_line(s=rng.choice(["null", keys[0]]), r=keys[1],
+                              v=str(rng.randrange(10**rng.randint(1, 80))))
+            (chunk_dir / chunk_filename(0, 9)).write_text(line + "\n")
+            assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
 
 
 def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,

@@ -173,7 +173,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too many digits
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -213,7 +213,7 @@ def _read_report(path, section: str) -> tuple[dict, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"corrupt report: {exc}", path=path) from exc
     if not isinstance(doc, dict):
         raise ParseError("corrupt report: not a JSON object", path=path)
@@ -471,7 +471,7 @@ def _reusable_subject(args, graph) -> MetricsReport | None:
                 or doc["graph_fingerprint"] != graph_fingerprint(graph)):
             return None
         report = MetricsReport.from_json_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None
     if (report.node_count, report.edge_count) != (graph.node_count,
                                                    graph.edge_count):

@@ -48,33 +48,32 @@ def export_json(graph: InteractionGraph, path) -> None:
     Key order is chain, vertices, edges; the chain key is present only when
     the graph knows its chain.
     """
-    doc: dict = {}
-    if graph.chain is not None:
-        doc["chain"] = graph.chain.value
-    doc["vertices"] = graph.node_keys()
-    doc["edges"] = [[graph.keys[a], graph.keys[b], amount]
-                    for a, b, amount in graph.edge_triples()]
-    payload = json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
-    _write(path, payload, "utf-8")
+    def text() -> str:
+        doc: dict = {}
+        if graph.chain is not None:
+            doc["chain"] = graph.chain.value
+        doc["vertices"] = graph.node_keys()
+        doc["edges"] = [[graph.keys[a], graph.keys[b], amount]
+                        for a, b, amount in graph.edge_triples()]
+        return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    _write(path, text, "utf-8")
 
 
 def export_pajek(graph: InteractionGraph, path) -> None:
     """Write the graph in Pajek form: a vertex section, then an edge list."""
-    lines = [f"*Vertices {graph.node_count}"]
-    for node in graph.node_ids():
-        lines.append(f'{node} "{graph.keys[node]}"')
-    lines.append("*Edges")
-    for a, b, amount in graph.edge_triples():
-        lines.append(f"{a} {b} {amount}")
-    _write(path, "\n".join(lines), "ascii")
+    def text() -> str:
+        vertices = [f'{node} "{graph.keys[node]}"' for node in graph.node_ids()]
+        edges = [f"{a} {b} {amount}" for a, b, amount in graph.edge_triples()]
+        return "\n".join([f"*Vertices {graph.node_count}", *vertices, "*Edges", *edges])
+    _write(path, text, "ascii")
 
 
-def _write(path, text: str, encoding: str) -> None:
-    """Write ``text`` and a final newline to ``path``, encoded in full
-    before any file is opened."""
+def _write(path, text, encoding: str) -> None:
+    """Write ``text()`` and a final newline to ``path``, rendered and encoded
+    in full before any file is opened."""
     try:
-        atomic_write(path, text.encode(encoding), b"\n")
-    except (OSError, UnicodeEncodeError) as exc:
+        atomic_write(path, text().encode(encoding), b"\n")
+    except (OSError, ValueError) as exc:  # also an int too long for str()
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
 
@@ -144,7 +143,7 @@ def _parse_json(text: str, path) -> InteractionGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from exc
-    except ValueError as exc:  # an integer longer than int() converts
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep
         raise ParseError(str(exc), path=path) from exc
     _require(isinstance(doc, dict), "top-level value is not an object", path)
     unknown = set(doc) - {"chain", "vertices", "edges"}

@@ -88,7 +88,7 @@ class Checkpoint:
                 doc = json.load(fh)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or not UTF-8
             raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CheckpointError(f"corrupt checkpoint {path}: not an object")

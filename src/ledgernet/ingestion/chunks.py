@@ -73,7 +73,7 @@ def _decode_record(line: str, chain: Chain | str, path,
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
-    except ValueError as exc:  # an integer longer than int() converts
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep
         raise ParseError(str(exc), path=path, line=line_no) from exc
     try:
         if not isinstance(record, dict) or record.keys() != _FIELD_SET:

@@ -3,7 +3,7 @@
 All metrics live on the undirected simple graph; in/out activity histograms
 come from the per-node transaction counters.  Shortest paths use BFS because
 the graph is unweighted for metric purposes (transfer amounts are not
-distances).
+distances).  Every metric reads plain adjacency (see ``Adjacency``).
 
 Analysis runs on one thread: it is pure-Python graph walking, which the GIL
 would serialise across threads anyway.  Clustering means still sum in fixed
@@ -20,23 +20,21 @@ import sys
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain, compress
 from operator import or_
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
 
 _NODE_CHUNK = 256
 # Memory budget of one multi-source BFS batch, in bits: sources per batch
-# times component nodes.  Each node holds up to three bitsets of the batch
-# width (unreached, this level, next level), and 1,024 sources on a 50k-node
-# component add about 40 MB, a third of that graph's own footprint.  A
-# smaller component runs fewer, wider batches in the same memory; a level
-# costs about the same number of Python steps at any width, so fewer batches
-# is faster.
+# times component nodes, each node holding up to three bitsets of the batch
+# width (1,024 sources on 50k nodes add about 40 MB).  A smaller component
+# runs fewer, wider batches, which is faster: a level costs about the same
+# number of Python steps at any width.
 _BATCH_BITS = 1024 * 50_000
 # The narrowest batch, used from 50k component nodes up.
 _BATCH_WIDTH = 1024
@@ -65,12 +63,9 @@ class ComponentCensus:
 
 @dataclass
 class MetricsReport:
-    """Everything the analyzer knows about one graph.
-
-    Metrics that are undefined on the given graph (clustering of an empty
-    graph, path length of a singleton component) are None rather than fake
-    zeros.
-    """
+    """Everything the analyzer knows about one graph.  Metrics undefined on
+    it (clustering of an empty graph, path length of a singleton component)
+    are None rather than fake zeros."""
 
     node_count: int = 0
     edge_count: int = 0
@@ -86,29 +81,19 @@ class MetricsReport:
     timings: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
+        # "degrees": the histograms as sorted [degree, count] pairs, then
+        # the other DegreeReport fields and one field of the report's own
+        scalars = asdict(self.degrees)
+        degrees = {kind: sorted(map(list, scalars.pop(f"{kind}_histogram").items()))
+                   for kind in ("in", "out", "total")}
+        degrees.update(scalars, max_degree_fraction_of_main_component=(
+            self.max_degree_fraction_of_main_component))
         return {
             "node_count": self.node_count,
             "edge_count": self.edge_count,
             "avg_degree": self.avg_degree,
-            "degrees": {
-                "in": [[d, c] for d, c in sorted(self.degrees.in_histogram.items())],
-                "out": [[d, c] for d, c in sorted(self.degrees.out_histogram.items())],
-                "total": [[d, c] for d, c
-                          in sorted(self.degrees.total_histogram.items())],
-                "zero_in_fraction": self.degrees.zero_in_fraction,
-                "zero_out_fraction": self.degrees.zero_out_fraction,
-                "max_degree": self.degrees.max_degree,
-                "max_degree_fraction_of_nodes":
-                    self.degrees.max_degree_fraction_of_nodes,
-                "max_degree_fraction_of_main_component":
-                    self.max_degree_fraction_of_main_component,
-            },
-            "components": {
-                "count": self.components.count,
-                "sizes": self.components.sizes,
-                "main_component_size": self.components.main_component_size,
-                "main_component_fraction": self.components.main_component_fraction,
-            },
+            "degrees": degrees,
+            "components": asdict(self.components),
             "graph_acc": self.graph_acc,
             "main_component_acc": self.main_component_acc,
             "main_component_aspl": self.main_component_aspl,
@@ -148,10 +133,8 @@ class MetricsReport:
                 main_component_fraction=_typed(
                     components["main_component_fraction"], float)),
             graph_acc=_typed(doc["graph_acc"], float, nullable=True),
-            main_component_acc=_typed(doc["main_component_acc"], float,
-                                      nullable=True),
-            main_component_aspl=_typed(doc["main_component_aspl"], float,
-                                       nullable=True),
+            main_component_acc=_typed(doc["main_component_acc"], float, True),
+            main_component_aspl=_typed(doc["main_component_aspl"], float, True),
             max_degree_fraction_of_main_component=_typed(
                 degrees["max_degree_fraction_of_main_component"], float),
             aspl_method=_typed(doc["aspl_method"], str),
@@ -171,13 +154,27 @@ def _typed(value, kind: type, nullable: bool = False):
     return value
 
 
-def degree_distributions(graph: InteractionGraph) -> DegreeReport:
+class Adjacency(NamedTuple):
+    """A graph as the metrics read it: ``adj[v]`` holds node v's neighbours
+    (index 0 unused) as a set, where an ``InteractionGraph`` has a dict."""
+
+    adj: list[set[int]]
+    in_tx: list[int]
+    out_tx: list[int]
+
+
+def _neighbour_sets(graph: InteractionGraph | Adjacency) -> list[set[int]]:
+    """``graph.adj``, with an ``InteractionGraph``'s rows copied into sets."""
+    return graph.adj if isinstance(graph, Adjacency) else list(map(set, graph.adj))
+
+
+def degree_distributions(graph: InteractionGraph | Adjacency) -> DegreeReport:
     """Histogram the directed activity counters and the undirected degree."""
-    n = graph.node_count
+    n = len(graph.adj) - 1
     report = DegreeReport(
         in_histogram=dict(Counter(graph.in_tx[1:])),
         out_histogram=dict(Counter(graph.out_tx[1:])),
-        total_histogram=dict(Counter(len(graph.adj[v]) for v in graph.node_ids())),
+        total_histogram=dict(Counter(map(len, graph.adj[1:]))),
     )
     if n:
         report.zero_in_fraction = report.in_histogram.get(0, 0) / n
@@ -187,7 +184,7 @@ def degree_distributions(graph: InteractionGraph) -> DegreeReport:
     return report
 
 
-def connected_components(graph: InteractionGraph,
+def connected_components(graph: InteractionGraph | Adjacency,
                          ) -> tuple[ComponentCensus, list[int | None]]:
     """Breadth-first search from each node not yet reached, in ID order.
 
@@ -195,11 +192,11 @@ def connected_components(graph: InteractionGraph,
     number components 0, 1, ... in decreasing size, ties broken by smallest
     member ID, so label 0 is always the main component.
     """
-    n = graph.node_count
     adj = graph.adj
+    n = len(adj) - 1
     root = [0] * (n + 1)  # a node's root is its component's smallest ID
     size: dict[int, int] = {}
-    for v in graph.node_ids():
+    for v in range(1, n + 1):
         if not root[v]:
             root[v] = v
             queue = [v]
@@ -211,8 +208,7 @@ def connected_components(graph: InteractionGraph,
             size[v] = len(queue)
     ordered = sorted(size, key=lambda r: (-size[r], r))
     label_of_root = {r: i for i, r in enumerate(ordered)}
-    labels: list[int | None] = [None]
-    labels += [label_of_root[root[v]] for v in graph.node_ids()]
+    labels = [None] + [label_of_root[root[v]] for v in range(1, n + 1)]
 
     sizes = [size[r] for r in ordered]
     census = ComponentCensus(count=len(sizes), sizes=sizes)
@@ -222,17 +218,25 @@ def connected_components(graph: InteractionGraph,
     return census, labels
 
 
-def local_clustering(graph: InteractionGraph, node: int) -> float:
-    """Fraction of the node's neighbor pairs that are themselves linked.
+def _clustering(adj, nodes: Iterable[int]) -> list[float]:
+    """Local clustering of each of ``nodes``, where ``adj[v]`` is the set of
+    v's neighbours: the linked share of its neighbour pairs, 0 below degree 2."""
+    values = []
+    for v in nodes:
+        neighbours = adj[v]
+        d = len(neighbours)  # the sum counts each linked pair twice
+        values.append(sum(len(adj[u] & neighbours) for u in neighbours)
+                      / (d * (d - 1)) if d > 1 else 0.0)
+    return values
 
-    Nodes of degree < 2 have no neighbor pairs and count as 0.
-    """
-    neighbors = graph.neighbors(node)
-    d = len(neighbors)
-    if d < 2:
-        return 0.0
-    links = sum(len(graph.adj[v].keys() & neighbors) for v in neighbors) // 2
-    return 2.0 * links / (d * (d - 1))
+
+def local_clustering(graph: InteractionGraph | Adjacency, node: int) -> float:
+    """Fraction of the node's neighbor pairs that are themselves linked;
+    nodes of degree < 2 have no neighbor pairs and count as 0."""
+    adj = graph.adj
+    if not 0 < node < len(adj):
+        raise LookupError(f"node {node} not in graph")
+    return _clustering({v: set(adj[v]) for v in (node, *adj[node])}, [node])[0]
 
 
 def _mean_clustering(values: list[float]) -> float:
@@ -245,39 +249,35 @@ def _mean_clustering(values: list[float]) -> float:
                      for i in range(0, len(values), _NODE_CHUNK)) / len(values)
 
 
-def average_clustering(graph: InteractionGraph,
+def average_clustering(graph: InteractionGraph | Adjacency,
                        nodes: Sequence[int] | None = None) -> float:
     """Mean local clustering over ``nodes`` (default: every node)."""
-    nodes = graph.node_ids() if nodes is None else nodes
-    return _mean_clustering([local_clustering(graph, v) for v in nodes])
+    adj = _neighbour_sets(graph)
+    return _mean_clustering(_clustering(
+        adj, range(1, len(adj)) if nodes is None else nodes))
 
 
 def _bottom_up(frontier_size: int, pending_size: int) -> bool:
     """Whether a BFS level runs bottom-up: when the frontier has at least a
-    third as many nodes as the pending list (the nodes that some source had
-    not reached when the list was last filtered).  Tuned on ledger and
-    G(n, m) graphs of 1.2k to 50k nodes, at full width and at 32 sources:
-    on average within 4 % of picking the faster direction at every level.
-    """
+    third as many nodes as the pending list (the nodes some source had not
+    reached at the last filtering).  Tuned on ledger and G(n, m) graphs of
+    1.2k to 50k nodes, at full width and at 32 sources: on average within
+    4 % of picking the faster direction at every level."""
     return 3 * frontier_size >= pending_size
 
 
-def _distance_sum(adj: list[dict[int, object]], sources: Sequence[int],
+def _distance_sum(adj: Sequence[Iterable[int]], sources: Sequence[int],
                   nodes: Sequence[int] | None = None) -> int:
     """Sum of BFS distances from the distinct ``sources`` to all they reach.
-
-    ``nodes`` must hold every node the sources can reach, such as their
-    component; None stands for every index of ``adj``.
-
-    Multi-source BFS (Then et al., VLDB 2014): bit i of a node's bitsets
-    stands for ``sources[i]``, so one sweep moves every source's BFS one
-    level on.  A level runs top-down (each frontier node hands its bits to
-    its neighbours) or, once the frontier is large (see ``_bottom_up``),
-    bottom-up (each node that still misses some source ORs together its
-    neighbours' frontier bits, a loop that runs in C): Beamer, Asanović &
-    Patterson, "Direction-optimizing breadth-first search", SC 2012.  Both
-    reach the same bits, so the sum does not depend on the choice.
-    """
+    ``nodes`` must hold every node they can reach, such as their component;
+    None stands for every index of ``adj``.  Multi-source BFS (Then et al.,
+    VLDB 2014): bit i of a node's bitsets stands for ``sources[i]``, so one
+    sweep moves every source's BFS one level on.  A level runs top-down
+    (each frontier node hands its bits to its neighbours) or, once the
+    frontier is large (see ``_bottom_up``), bottom-up (each node that still
+    misses some source ORs together its neighbours' frontier bits, in C):
+    Beamer, Asanović & Patterson, SC 2012.  Both reach the same bits, so the
+    sum does not depend on the choice."""
     frontier = {source: 1 << i for i, source in enumerate(sources)}
     unseen = [(1 << len(sources)) - 1] * len(adj)
     for source, bit in frontier.items():
@@ -312,19 +312,15 @@ def _distance_sum(adj: list[dict[int, object]], sources: Sequence[int],
     return total
 
 
-def aspl(graph: InteractionGraph, component_nodes: Sequence[int], *,
+def aspl(graph: InteractionGraph | Adjacency, component_nodes: Sequence[int], *,
          sample_sources: int | None = None, seed: int = 0) -> float:
     """Mean shortest-path length over node pairs of one connected component.
 
     Exact by default (a BFS from every node).  With ``sample_sources``
-    k < |C| the mean is estimated from k seeded-random BFS sources; the
-    estimate averages each sampled source against all other nodes.
-
-    Sources run in multi-source BFS batches of
-    ``max(_BATCH_WIDTH, _BATCH_BITS // |C|)``, which keeps a batch's bitsets
-    within the same memory at every component size: exact ASPL on a
-    component of up to about 7k nodes is one batch.
-    """
+    k < |C| the mean is estimated from k seeded-random BFS sources, each
+    against all other nodes.  Sources run in multi-source BFS batches of
+    ``max(_BATCH_WIDTH, _BATCH_BITS // |C|)``, the same memory at every
+    component size: exact ASPL on up to about 7k nodes is one batch."""
     if sample_sources is not None and sample_sources < 1:
         raise ValueError(f"sample_sources must be >= 1, got {sample_sources}")
     nodes = sorted(component_nodes)
@@ -338,7 +334,8 @@ def aspl(graph: InteractionGraph, component_nodes: Sequence[int], *,
         sources = nodes
 
     width = max(_BATCH_WIDTH, _BATCH_BITS // k)
-    total = sum(_distance_sum(graph.adj, sources[i:i + width], nodes)
+    rows = list(map(list, graph.adj))  # BFS walks lists faster than sets
+    total = sum(_distance_sum(rows, sources[i:i + width], nodes)
                 for i in range(0, len(sources), width))
     return total / (len(sources) * (k - 1))
 
@@ -346,14 +343,13 @@ def aspl(graph: InteractionGraph, component_nodes: Sequence[int], *,
 def graph_fingerprint(graph: InteractionGraph) -> str:
     """SHA-256 of everything ``analyze`` reads: the node count, the
     ``in_tx``/``out_tx`` counters, each node's degree and its neighbour IDs
-    in adjacency order, as little-endian 64-bit integers.
+    in adjacency order, as little-endian 64-bit integers.  Keys, chain and
+    amounts are left out, since no metric depends on them.
 
-    Keys, chain and amounts are left out, since no metric depends on them,
-    and both graph file readers list each node's neighbours in ascending
-    order, so a graph read from its JSON file and from its Pajek file share
-    one fingerprint.  Two graphs that differ only in neighbour order may
-    not; that costs a recomputation, never a wrong report.
-    """
+    Both graph file readers list neighbours in ascending order, so a graph's
+    JSON and Pajek files give one fingerprint; graphs that differ only in
+    neighbour order may not, which costs a recomputation, never a wrong
+    report."""
     ints = array("q", [graph.node_count])
     ints.extend(graph.in_tx)
     ints.extend(graph.out_tx)
@@ -364,22 +360,21 @@ def graph_fingerprint(graph: InteractionGraph) -> str:
     return hashlib.sha256(ints).hexdigest()
 
 
-def analyze(graph: InteractionGraph, worker_count: int = 1, *,
+def analyze(graph: InteractionGraph | Adjacency, worker_count: int = 1, *,
             sample_sources: int | None = None, seed: int = 0) -> MetricsReport:
     """Full metric sweep over one graph.
 
     The result is a pure function of what ``graph_fingerprint`` hashes (plus
     the sampling knobs), which is how ``compare`` on the CLI knows it may
     reuse a report instead of running this again.  Main-component ASPL takes
-    most of the time; see ``aspl``.  ``worker_count`` has no effect: analysis
-    runs on one thread.  It is kept so that existing callers keep working.
-    """
+    most of the time; see ``aspl``.  ``worker_count`` has no effect, since
+    analysis runs on one thread; existing callers may still pass it."""
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
     if sample_sources is not None and sample_sources < 1:
         raise ValueError(f"sample_sources must be >= 1, got {sample_sources}")
-    n = graph.node_count
-    m = graph.edge_count
+    n = len(graph.adj) - 1
+    m = sum(map(len, graph.adj)) // 2
     report = MetricsReport(node_count=n, edge_count=m,
                            avg_degree=(2.0 * m / n) if n else 0.0)
 
@@ -392,7 +387,7 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
     census, labels = connected_components(graph)
     report.components = census
     report.timings["components"] = clock() - start
-    main = [v for v in graph.node_ids() if labels[v] == 0]
+    main = [v for v in range(1, n + 1) if labels[v] == 0]
     if census.main_component_size:
         report.max_degree_fraction_of_main_component = (
             report.degrees.max_degree / census.main_component_size)
@@ -400,7 +395,7 @@ def analyze(graph: InteractionGraph, worker_count: int = 1, *,
     start = clock()
     if n:
         # One value per node, at index node - 1, serves both means.
-        local = [local_clustering(graph, v) for v in graph.node_ids()]
+        local = _clustering(_neighbour_sets(graph), range(1, n + 1))
         report.graph_acc = _mean_clustering(local)
         report.main_component_acc = _mean_clustering([local[v - 1] for v in main])
     report.timings["clustering"] = clock() - start

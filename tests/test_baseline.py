@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -6,15 +7,19 @@ import pytest
 from ledgernet import (
     ErSpec,
     ErSpecError,
+    InteractionGraph,
     MetricsReport,
     UndefinedMetricError,
+    analyze,
     average_clustering,
     compare,
     export_pajek,
     generate_er_gnm,
     small_world_verdict,
 )
+from ledgernet import baseline
 from ledgernet.baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD
+from ledgernet.graph import EdgeData
 
 import oracles
 
@@ -197,3 +202,62 @@ class TestCompare:
             assert baseline.node_count == subject.node_count
             assert baseline.edge_count == subject.edge_count
         assert result.verdict.baseline_acc_stats is not None
+
+
+def complete_edge_count(n):
+    return n * (n - 1) // 2
+
+
+# m from 0 up to the complete graph, for each n
+BASELINE_CASES = [(n, m) for n, ms in [
+    (2, [0, 1]), (3, [0, 1, 2, 3]), (30, [0, 1, 29, 60, 200, 435]),
+    (200, [0, 150, 400, 2000, 19900])] for m in ms]
+
+
+class TestCompareBaselines:
+    """``compare`` draws each baseline into neighbour sets; its reports must
+    be those of the reference G(n, m) graph of the same seed."""
+
+    @pytest.mark.parametrize("n, m", BASELINE_CASES)
+    def test_reports_equal_the_reference_graphs(self, monkeypatch, n, m):
+        # the verdict needs defined main-component metrics, which small or
+        # empty draws lack; only the baseline reports are checked here
+        monkeypatch.setattr(baseline, "small_world_verdict", lambda *args: None)
+        cheap = m < complete_edge_count(200)
+        reference = functools.cache(lambda s: oracles.er_gnm_reference(n, m, s))
+        expected = functools.cache(lambda s, sources: analyze(
+            reference(s), sample_sources=sources, seed=s))
+        subject = MetricsReport(node_count=n, edge_count=m)
+        for seed in (0, 7, 123) if cheap else (5,):
+            for samples in (1, 3) if cheap else (1,):
+                for sources in (None, 5):  # exact, and sampled above 5 nodes
+                    result = compare(None, seed=seed, samples=samples,
+                                     sample_sources=sources, subject=subject)
+                    assert result.baseline_seeds == list(range(seed, seed + samples))
+                    assert [(r.node_count, r.edge_count) for r in result.baselines] \
+                        == [(n, m)] * samples
+                    for report, s in zip(result.baselines, result.baseline_seeds):
+                        assert report == expected(s, sources)  # timings aside
+
+    def test_builds_no_graph_for_a_baseline(self, monkeypatch):
+        subject = oracles.rewired_ring(30, 4, 0.1, seed=0)
+        built = []
+        for cls in (InteractionGraph, EdgeData):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        result = compare(subject, seed=3, samples=2)
+        assert len(result.baselines) == 2
+        assert built == []
+        generate_er_gnm(ErSpec(4, 2))  # the counter does see a graph
+        assert sorted(set(built)) == ["EdgeData", "InteractionGraph"]
+
+    def test_baseline_timings_add_the_draw(self):
+        result = compare(oracles.rewired_ring(30, 4, 0.1, seed=0), samples=2)
+        assert list(result.subject.timings) == [
+            "degrees", "components", "clustering", "aspl"]
+        for report in result.baselines:
+            assert list(report.timings) == [
+                "generate", "degrees", "components", "clustering", "aspl"]
+            assert all(t >= 0 for t in report.timings.values())

@@ -19,6 +19,9 @@ ENV_VARS = ("LEDGERNET_ENDPOINT", "LEDGERNET_API_KEY", "LEDGERNET_RATE_LIMIT",
 
 VOLATILE_KEYS = ("generated_at", "timings_seconds")
 
+# json raises RecursionError, not ValueError, on this
+DEEP_JSON = b"[" * 100_000
+
 # The src directory this package was imported from: child processes get it
 # as PYTHONPATH, since the test settings' pythonpath is not inherited.
 SRC = str(Path(cli.__file__).parents[1])
@@ -279,6 +282,21 @@ class TestDownload:
         download(fixture_dir, out3, "--config", config_path, "--rate-limit", 7)
         assert read_json(out3 / "download_summary.json")["config"]["rate_limit"] == 7
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b'{"rate_limit": ' + b"1" * 5000 + b"}", DEEP_JSON,
+    ], ids=["not-utf8", "past-the-int-digit-limit", "deeply-nested"])
+    def test_config_file_that_is_not_json_is_a_usage_error(self, fixture_dir,
+                                                           tmp_path, capsys,
+                                                           content):
+        config_path = tmp_path / "settings.json"
+        config_path.write_bytes(content)
+        assert download(fixture_dir, tmp_path / "out", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config file {config_path} "
+                              "is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_value_is_usage_error(self, fixture_dir, tmp_path,
                                           monkeypatch, capsys):
         monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "fast")
@@ -487,6 +505,50 @@ class TestBuild:
         assert err.count("\n") == 1
         assert not (out / "graph.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "pajek"])
+    def test_edge_total_past_the_int_digit_limit_exits_2(self, tmp_path, capsys,
+                                                         fmt):
+        # each amount has 4,300 digits, which int() reads; their sum has
+        # 4,301, which no export can write
+        chunks = tmp_path / "chunks"
+        chunks.mkdir()
+        line = json.dumps({"h": 0, "t": 1, "s": "0x" + "a" * 40,
+                           "r": "0x" + "b" * 40, "v": int("9" * 4300)}) + "\n"
+        (chunks / "chunk_0_0.ndjson").write_text(line * 2)
+        out = tmp_path / "out"
+        path = out / f"graph.{fmt}"
+        assert run_cli("build", "--chain", "ethereum", "--chunks", chunks,
+                       "--output-dir", out, "--format", fmt) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: Exceeds the limit ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_deeply_nested_chunk_line_exits_2(self, fixture_dir, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        chunk = out / "chunks" / "chunk_3_5.ndjson"
+        lines = chunk.read_text().splitlines(keepends=True)
+        chunk.write_text(lines[0] + DEEP_JSON.decode() + "\n")
+        assert run_cli("build", "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {chunk}: line 2: maximum recursion depth ")
+        assert err.count("\n") == 1
+        assert not (out / "graph.json").exists()
+
+    def test_deeply_nested_checkpoint_exits_2(self, fixture_dir, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        (out / "checkpoint.json").write_bytes(DEEP_JSON)
+        assert run_cli("build", "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt checkpoint {out / 'checkpoint.json'}: "
+                              "maximum recursion depth ")
+        assert err.count("\n") == 1
+        assert not (out / "graph.json").exists()
+
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -573,6 +635,15 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_deeply_nested_graph_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "graph.json"
+        bad.write_bytes(DEEP_JSON)
+        assert run_cli("analyze", "--graph", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: maximum recursion depth ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_existing_output_is_kept(self, built, capsys):
         run_cli("analyze", "--graph", built / "graph.json")
         before = (built / "metrics.json").read_bytes()
@@ -652,6 +723,18 @@ class TestCompare:
         assert isinstance(verdict["is_small_world"], bool)
         assert verdict["acc_threshold"] == 2.0
         assert verdict["aspl_threshold"] == 1.5
+
+    def test_baseline_timings_include_the_draw(self, built):
+        assert run_cli("compare", "--graph", built / "graph.json",
+                       "--samples", 2) == 0
+        doc = read_json(built / "comparison.json")
+        assert list(doc["subject"]["timings_seconds"]) == [
+            "degrees", "components", "clustering", "aspl"]
+        for report in doc["baseline"]["reports"]:
+            timings = report["timings_seconds"]
+            assert list(timings) == ["generate", "degrees", "components",
+                                     "clustering", "aspl"]
+            assert all(type(t) is float and t >= 0 for t in timings.values())
 
     def test_rerun_with_force_is_stable(self, built):
         run_cli("compare", "--graph", built / "graph.json", "--seed", 42)
@@ -735,7 +818,7 @@ def analyses(monkeypatch):
     analyze = baseline.analyze
 
     def counted(graph, *args, **kwargs):
-        calls.append(graph.node_count)
+        calls.append(len(graph.adj) - 1)
         return analyze(graph, *args, **kwargs)
 
     monkeypatch.setattr(baseline, "analyze", counted)
@@ -786,7 +869,8 @@ class TestCompareReuse:
 
     @pytest.mark.parametrize("miss", [
         "seed", "sample_sources", "edited graph", "corrupt", "not an object",
-        "no fingerprint", "tool_version", "bad field", "directory"])
+        "no fingerprint", "tool_version", "bad field", "directory",
+        "deeply nested"])
     def test_any_mismatch_recomputes_the_subject(self, built, capsys,
                                                  analyses, miss):
         metrics_path = built / "metrics.json"
@@ -806,6 +890,8 @@ class TestCompareReuse:
             metrics_path.write_bytes(b'{"node_count": 6, "edg')
         elif miss == "not an object":
             metrics_path.write_text("[1, 2]")
+        elif miss == "deeply nested":
+            metrics_path.write_bytes(DEEP_JSON)
         elif miss == "no fingerprint":
             rewrite_json(metrics_path, lambda doc: doc.pop("graph_fingerprint"))
         elif miss == "tool_version":
@@ -933,7 +1019,8 @@ class TestReport:
     @pytest.mark.parametrize("content", [b'{"node_count": 6, "edg', b"\xff\xfe",
                                          b"[1, 2]",
                                          b'{"components": [], "verdict": 3}',
-                                         b'{"components": 3, "verdict": []}'])
+                                         b'{"components": 3, "verdict": []}',
+                                         pytest.param(DEEP_JSON, id="deep")])
     def test_corrupt_artifact_exits_2_with_one_line(self, tmp_path, capsys,
                                                     name, content):
         (tmp_path / name).write_bytes(content)

@@ -147,6 +147,19 @@ class TestUnencodableGraph:
         assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("export", [export_json, export_pajek])
+def test_amount_past_the_int_digit_limit_raises_export_error(tmp_path, export):
+    g = two_node_graph()
+    g.adj[1][2].amount = 10 ** 4300  # 4,301 digits
+    path = tmp_path / "g"
+    path.write_bytes(b"older graph\n")
+    with pytest.raises(ExportError) as info:
+        export(g, path)
+    assert str(info.value).startswith(f"cannot write {path}: Exceeds the limit ")
+    assert path.read_bytes() == b"older graph\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestImportGraph:
     def test_pajek_inverse_of_export(self, tmp_path):
         path = tmp_path / "g.pajek"
@@ -183,6 +196,15 @@ class TestImportGraph:
         with pytest.raises(ParseError, match="cannot read graph file") as info:
             import_graph(path)
         assert info.value.path == path
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path):
+        # json raises RecursionError here, which is no ValueError
+        path = tmp_path / "g.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ParseError, match="maximum recursion depth") as info:
+            import_graph(path)
+        assert info.value.path == path
+        assert "\n" not in str(info.value)
 
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "g.json"

@@ -363,6 +363,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             Checkpoint.load(tmp_path / "absent.json")
 
+    def test_load_rejects_deeply_nested_json(self, tmp_path):
+        # json raises RecursionError here, which is no ValueError
+        path = tmp_path / "checkpoint.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(CheckpointError,
+                           match=r"^corrupt checkpoint .*: maximum recursion depth"):
+            Checkpoint.load(path)
+
 
 MALFORMED_LINES = [
     "not json",
@@ -506,6 +514,22 @@ class TestFoldChunks:
                 fold()
             assert str(folded.value) == str(decoded.value)
             assert (folded.value.path, folded.value.line) == (path, 4)
+
+    def test_deeply_nested_line_is_a_parse_error(self, tmp_path):
+        # json raises RecursionError here, which is no ValueError
+        line = "[" * 100_000
+        good = encode_transaction(
+            Transaction(None, canonicalize_address(ADDR[1], ETH), 5, 1, 100))
+        path = tmp_path / chunk_filename(0, 9)
+        path.write_text(good + line + "\n")
+        with pytest.raises(ParseError, match="maximum recursion depth") as decoded:
+            decode_transaction(line, ETH, path=path, line_no=2)
+        for fold in (lambda: fold_chunks(tmp_path, ETH),
+                     lambda: library_graph(tmp_path, ETH)):
+            with pytest.raises(ParseError) as folded:
+                fold()
+            assert str(folded.value) == str(decoded.value)
+            assert (folded.value.path, folded.value.line) == (path, 2)
 
     def test_record_outside_its_file_span_is_rejected(self, tmp_path):
         recipient = canonicalize_address(ADDR[1], ETH)

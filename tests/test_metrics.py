@@ -25,7 +25,7 @@ from ledgernet import (
     local_clustering,
 )
 from ledgernet import metrics
-from ledgernet.metrics import graph_fingerprint
+from ledgernet.metrics import Adjacency, graph_fingerprint
 
 import oracles
 
@@ -348,6 +348,47 @@ class TestMultiSourceBfs:
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestAdjacency:
+    """Every metric reads an ``InteractionGraph`` and the ``Adjacency`` of its
+    neighbour sets alike."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(79)
+        for i in range(12):
+            if i % 2:
+                yield oracles.random_graph(rng, max_nodes=90)
+            else:  # with activity counters, self-transfers and coinbases
+                yield build_graph(oracles.random_transactions(rng, count=120),
+                                  Chain.ETHEREUM)
+
+    def test_every_metric_agrees(self):
+        for g in self.graphs():
+            plain = Adjacency([set(row) for row in g.adj], g.in_tx, g.out_tx)
+            assert degree_distributions(plain) == degree_distributions(g)
+            assert connected_components(plain) == connected_components(g)
+            for v in g.node_ids():
+                assert local_clustering(plain, v) == local_clustering(g, v)
+            assert average_clustering(plain) == average_clustering(g)
+            main = sorted(oracles.main_component(g))
+            assert average_clustering(plain, main) == average_clustering(g, main)
+            if len(main) > 1:
+                assert aspl(plain, main) == aspl(g, main)
+                assert aspl(plain, main, sample_sources=3, seed=4) == \
+                    aspl(g, main, sample_sources=3, seed=4)
+            for sources in (None, 4):
+                assert analyze(plain, sample_sources=sources, seed=1) == \
+                    analyze(g, sample_sources=sources, seed=1)
+
+    @pytest.mark.parametrize("node", [0, -1, 5])
+    def test_unknown_node(self, node):
+        g = oracles.path_graph(4)
+        plain = Adjacency([set(row) for row in g.adj], g.in_tx, g.out_tx)
+        for graph in (g, plain):
+            with pytest.raises(LookupError):
+                local_clustering(graph, node)
+
+
 class TestAnalyze:
     def test_worker_count_does_not_change_the_report(self):
         g = triangle_with_pendant()
@@ -412,12 +453,13 @@ class TestAnalyze:
         labels = connected_components(g)[1]
         main = [v for v in g.node_ids() if labels[v] == 0]
         calls = []
+        clustering = metrics._clustering
 
-        def counted(graph, node):
-            calls.append(node)
-            return local_clustering(graph, node)
+        def counted(adj, nodes):
+            calls.extend(nodes)
+            return clustering(adj, nodes)
 
-        monkeypatch.setattr(metrics, "local_clustering", counted)
+        monkeypatch.setattr(metrics, "_clustering", counted)
         report = analyze(g)
         assert sorted(calls) == list(g.node_ids())
         monkeypatch.undo()

@@ -4,87 +4,65 @@ The pipeline has two halves: ingestion turns a block range (or time
 interval) into durable transaction chunk files, and analysis turns those
 into an undirected account-interaction graph, network metrics, and a
 small-world verdict against an Erdős–Rényi baseline of the same size.
+
+The public names load their module on first use (PEP 562), so a command
+that needs no analysis, such as ``build``, loads no analysis code.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .baseline import (
-    DEFAULT_ACC_THRESHOLD,
-    DEFAULT_ASPL_THRESHOLD,
-    ComparisonReport,
-    ErSpec,
-    SmallWorldVerdict,
-    compare,
-    generate_er_gnm,
-    small_world_verdict,
-)
-from .errors import (
-    AddressError,
-    CheckpointError,
-    EmptyRangeError,
-    ErSpecError,
-    ExportError,
-    LedgerNetError,
-    ParseError,
-    ProviderError,
-    UndefinedMetricError,
-    UsageError,
-)
-from .formats import export_json, export_pajek, import_graph
-from .graph import (
-    Chain,
-    InteractionGraph,
-    Transaction,
-    build_graph,
-    canonicalize_address,
-)
-from .metrics import (
-    ComponentCensus,
-    DegreeReport,
-    MetricsReport,
-    analyze,
-    aspl,
-    average_clustering,
-    connected_components,
-    degree_distributions,
-    local_clustering,
-)
+_MODULE_OF = {
+    **dict.fromkeys([
+        "DEFAULT_ACC_THRESHOLD",
+        "DEFAULT_ASPL_THRESHOLD",
+        "ComparisonReport",
+        "ErSpec",
+        "SmallWorldVerdict",
+        "compare",
+        "generate_er_gnm",
+        "small_world_verdict",
+    ], "baseline"),
+    **dict.fromkeys([
+        "AddressError",
+        "CheckpointError",
+        "EmptyRangeError",
+        "ErSpecError",
+        "ExportError",
+        "LedgerNetError",
+        "ParseError",
+        "ProviderError",
+        "UndefinedMetricError",
+        "UsageError",
+    ], "errors"),
+    **dict.fromkeys(["export_json", "export_pajek", "import_graph"], "formats"),
+    **dict.fromkeys([
+        "Chain",
+        "InteractionGraph",
+        "Transaction",
+        "build_graph",
+        "canonicalize_address",
+    ], "graph"),
+    **dict.fromkeys([
+        "ComponentCensus",
+        "DegreeReport",
+        "MetricsReport",
+        "analyze",
+        "aspl",
+        "average_clustering",
+        "connected_components",
+        "degree_distributions",
+        "local_clustering",
+    ], "metrics"),
+}
 
-__all__ = [
-    "AddressError",
-    "Chain",
-    "CheckpointError",
-    "ComparisonReport",
-    "ComponentCensus",
-    "DEFAULT_ACC_THRESHOLD",
-    "DEFAULT_ASPL_THRESHOLD",
-    "DegreeReport",
-    "EmptyRangeError",
-    "ErSpec",
-    "ErSpecError",
-    "ExportError",
-    "InteractionGraph",
-    "LedgerNetError",
-    "MetricsReport",
-    "ParseError",
-    "ProviderError",
-    "SmallWorldVerdict",
-    "Transaction",
-    "UndefinedMetricError",
-    "UsageError",
-    "analyze",
-    "aspl",
-    "average_clustering",
-    "build_graph",
-    "canonicalize_address",
-    "compare",
-    "connected_components",
-    "degree_distributions",
-    "export_json",
-    "export_pajek",
-    "generate_er_gnm",
-    "import_graph",
-    "local_clustering",
-    "small_world_verdict",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

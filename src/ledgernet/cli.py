@@ -12,22 +12,21 @@ Exit codes: 0 success, 1 usage error, 2 runtime error, 130 interrupted.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
-import signal
 import sys
-import threading
-from datetime import datetime, timezone
+import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD, compare
 from .errors import LedgerNetError, ParseError, UsageError
 from .formats import FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph, infer_format
 from .graph import Chain
-from .metrics import MetricsReport, analyze, graph_fingerprint
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
 
 ENV_ENDPOINT = "LEDGERNET_ENDPOINT"
 ENV_API_KEY = "LEDGERNET_API_KEY"
@@ -129,8 +128,8 @@ def _build_parser() -> _Parser:
                       "comparison.json", cmd_compare)
     p.add_argument("--samples", type=int, default=1, metavar="N",
                    help="baseline graphs to average (default: 1)")
-    p.add_argument("--acc-threshold", type=float, default=DEFAULT_ACC_THRESHOLD)
-    p.add_argument("--aspl-threshold", type=float, default=DEFAULT_ASPL_THRESHOLD)
+    p.add_argument("--acc-threshold", type=float)
+    p.add_argument("--aspl-threshold", type=float)
 
     p = sub.add_parser("report", help="summarize artifacts in a directory")
     p.add_argument("--dir", default=".", metavar="DIR")
@@ -139,12 +138,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# What a config file value must be, by the setting's ``cast``, and the
+# names of the JSON types json.load gives.
+_CONFIG_TYPES = {str: "a string", float: "a number", int: "an integer"}
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+
+
 def _setting(flag_value, env_name: str, file_config: dict, key: str,
              default, cast, valid=None, rule: str = ""):
     """Resolve one setting: flag > environment > config file > default.
 
     A given value that fails ``valid`` is a usage error naming its source:
-    the flag ``--<key>``, the variable or the config key.
+    the flag ``--<key>``, the variable or the config key.  A config value
+    of the wrong JSON type is one too; its message names only the type, so
+    an API key never reaches stderr.
     """
     value, source = flag_value, "--" + key.replace("_", "-")
     if value is None:
@@ -152,11 +160,16 @@ def _setting(flag_value, env_name: str, file_config: dict, key: str,
         source = f"environment variable {env_name}"
         if raw is None and file_config.get(key) is not None:
             raw, source = file_config[key], f"config key {key!r}"
+            fits = (type(raw) is str if cast is str else type(raw) in (int, float)
+                    and (cast is float or raw % 1 == 0))
+            if not fits:
+                raise UsageError(f"{source} must be {_CONFIG_TYPES[cast]}, "
+                                 f"got {_JSON_TYPES[type(raw)]}")
         if raw is None:
             return default
         try:
             value = cast(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # 10**400 to float
             raise UsageError(f"bad value for {source}: {raw!r}") from exc
     if valid is not None and not valid(value):
         raise UsageError(f"{source} must be {rule}, got {value!r}")
@@ -188,6 +201,7 @@ def _workers(value: int | None) -> int | None:
 
 
 def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL, which only analyze and compare need
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -196,7 +210,7 @@ def _sha256(path) -> str:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _write_json(path, doc) -> None:
@@ -259,6 +273,9 @@ def _report_head(graph_file) -> dict:
 
 
 def cmd_download(args) -> int:
+    import signal
+    import threading
+
     from .ingestion.checkpoint import Checkpoint
     from .ingestion.chunks import list_chunk_files
     from .ingestion.download import (DEFAULT_CHUNK_SIZE, DEFAULT_SLACK, BlockRange,
@@ -436,6 +453,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .metrics import analyze, graph_fingerprint
     output = _report_path(args, "metrics.json")
     if output is None:
         return 0
@@ -460,6 +478,7 @@ def _reusable_subject(args, graph) -> MetricsReport | None:
     """The report in the ``metrics.json`` beside ``--graph``, if this version
     of ``analyze`` wrote it for a graph with the same fingerprint, seed and
     sample_sources; None for any other file, however broken."""
+    from .metrics import MetricsReport, graph_fingerprint
     path = Path(args.graph).parent / "metrics.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -484,26 +503,31 @@ def _subject_text(source) -> str:
 
 
 def cmd_compare(args) -> int:
+    from .baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD, compare
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     for flag, value in (("--acc-threshold", args.acc_threshold),
                         ("--aspl-threshold", args.aspl_threshold)):
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise UsageError(f"{flag} must be a finite number, got {value}")
+    acc_threshold = (DEFAULT_ACC_THRESHOLD if args.acc_threshold is None
+                     else args.acc_threshold)
+    aspl_threshold = (DEFAULT_ASPL_THRESHOLD if args.aspl_threshold is None
+                      else args.aspl_threshold)
     output = _report_path(args, "comparison.json")
     if output is None:
         return 0
     graph, fmt = _load_graph(args)
     subject = _reusable_subject(args, graph)
     comparison = compare(graph, seed=args.seed, samples=args.samples,
-                         acc_threshold=args.acc_threshold,
-                         aspl_threshold=args.aspl_threshold,
+                         acc_threshold=acc_threshold,
+                         aspl_threshold=aspl_threshold,
                          sample_sources=args.sample_sources, subject=subject)
     source = "computed" if subject is None else "metrics.json"
     doc = _report_head(args.graph)
     doc["config"] = _echo(graph_format=fmt, seed=args.seed, samples=args.samples,
-                          acc_threshold=args.acc_threshold,
-                          aspl_threshold=args.aspl_threshold,
+                          acc_threshold=acc_threshold,
+                          aspl_threshold=aspl_threshold,
                           sample_sources=args.sample_sources)
     doc["subject_source"] = source
     doc.update(comparison.to_json_dict())

@@ -176,10 +176,15 @@ def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transacti
 def fold_chunks(chunk_dir, chain: Chain | str,
                 checkpoint: Checkpoint | None = None) -> InteractionGraph:
     """``build_graph(iter_chunk_transactions(chunk_dir, chain), chain)``
-    without ``Transaction`` objects.  With a checkpoint, every chunk file
-    must be a chunk of its plan and every done chunk must have its file;
-    only done chunks are folded.  Without one, chunk files must not overlap.
+    without ``Transaction`` objects.  With a checkpoint, ``chain`` must be
+    its chain, every chunk file must be a chunk of its plan and every done
+    chunk must have its file; only done chunks are folded.  Without one,
+    chunk files must not overlap.
     """
+    chain = Chain(chain)
+    if checkpoint is not None and checkpoint.chain is not chain:
+        raise CheckpointError(f"the checkpoint is for {checkpoint.chain.value}, "
+                              f"not {chain.value}")
     files = list_chunk_files(chunk_dir)
     if checkpoint is not None:
         plan = {chunk_filename(first, min(first + checkpoint.chunk_size - 1,

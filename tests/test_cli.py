@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,8 +20,13 @@ ENV_VARS = ("LEDGERNET_ENDPOINT", "LEDGERNET_API_KEY", "LEDGERNET_RATE_LIMIT",
 
 VOLATILE_KEYS = ("generated_at", "timings_seconds")
 
+# When a report was written: UTC, to the second.
+GENERATED_AT = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
+
 # json raises RecursionError, not ValueError, on this
 DEEP_JSON = b"[" * 100_000
+
+MINI = Path(__file__).parent / "fixtures" / "mini"
 
 # The src directory this package was imported from: child processes get it
 # as PYTHONPATH, since the test settings' pythonpath is not inherited.
@@ -297,6 +303,52 @@ class TestDownload:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, expected, got", [
+        ("rate_limit", True, "a number", "a boolean"),
+        ("rate_limit", "5", "a number", "a string"),
+        ("retry_cap", True, "an integer", "a boolean"),
+        ("retry_cap", 2.7, "an integer", "a number"),
+        ("retry_cap", float("inf"), "an integer", "a number"),
+        ("backoff_base", False, "a number", "a boolean"),
+        ("endpoint", 5, "a string", "a number"),
+        ("api_key", ["x-secret"], "a string", "an array"),
+        ("api_key", 12345, "a string", "a number"),
+        ("api_key", {"key": "x-secret"}, "a string", "an object"),
+    ])
+    def test_config_value_of_the_wrong_json_type_is_a_usage_error(
+            self, fixture_dir, tmp_path, capsys, key, value, expected, got):
+        config_path = tmp_path / "settings.json"
+        config_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: config key {key!r} must be {expected}, got {got}\n")
+        assert not out.exists()
+
+    def test_config_number_too_large_for_a_float_is_a_usage_error(
+            self, fixture_dir, tmp_path, capsys):
+        config_path = tmp_path / "settings.json"
+        config_path.write_text('{"rate_limit": 1%s}' % ("0" * 400))
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            "usage error: bad value for config key 'rate_limit': 1%s\n" % ("0" * 400))
+        assert not out.exists()
+
+    def test_config_value_of_the_right_json_type_is_taken(self, fixture_dir,
+                                                          tmp_path):
+        config_path = tmp_path / "settings.json"
+        config_path.write_text(json.dumps({
+            "rate_limit": 0, "retry_cap": 2.0, "backoff_base": 0.5,
+            "endpoint": "http://localhost:1", "api_key": "x-secret"}))
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--config", config_path) == 0
+        config = read_json(out / "download_summary.json")["config"]
+        assert (config["rate_limit"], config["retry_cap"], config["backoff_base"],
+                config["endpoint"], config["api_key"]) == (
+            0.0, 2, 0.5, "http://localhost:1", "REDACTED")
+        assert type(config["retry_cap"]) is int
+
     def test_bad_env_value_is_usage_error(self, fixture_dir, tmp_path,
                                           monkeypatch, capsys):
         monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "fast")
@@ -425,6 +477,17 @@ class TestBuild:
         assert run_cli("build", "--output-dir", out) == 0
         assert "partial graph" in capsys.readouterr().err
         assert (out / "graph.json").exists()
+
+    def test_chain_other_than_the_checkpoint_exits_2(self, fixture_dir, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        capsys.readouterr()
+        assert run_cli("build", "--output-dir", out, "--chain", "bitcoin") == 2
+        assert capsys.readouterr().err == \
+            "error: the checkpoint is for ethereum, not bitcoin\n"
+        assert not (out / "graph.json").exists()
+        assert not (out / "graph.pajek").exists()
 
     def test_done_chunk_without_file_exits_2(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -723,6 +786,8 @@ class TestCompare:
         assert isinstance(verdict["is_small_world"], bool)
         assert verdict["acc_threshold"] == 2.0
         assert verdict["aspl_threshold"] == 1.5
+        assert (doc["config"]["acc_threshold"],
+                doc["config"]["aspl_threshold"]) == (2.0, 1.5)
 
     def test_baseline_timings_include_the_draw(self, built):
         assert run_cli("compare", "--graph", built / "graph.json",
@@ -764,9 +829,11 @@ class TestCompare:
         run_cli("compare", "--graph", built / "graph.json",
                 "--acc-threshold", 10, "--aspl-threshold", 1.1,
                 "--output", output)
-        verdict = read_json(output)["verdict"]
-        assert verdict["acc_threshold"] == 10.0
-        assert verdict["aspl_threshold"] == 1.1
+        doc = read_json(output)
+        assert doc["verdict"]["acc_threshold"] == 10.0
+        assert doc["verdict"]["aspl_threshold"] == 1.1
+        assert (doc["config"]["acc_threshold"],
+                doc["config"]["aspl_threshold"]) == (10.0, 1.1)
 
     @pytest.mark.parametrize("flag", ["--acc-threshold", "--aspl-threshold"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -961,10 +1028,12 @@ class TestEcho:
         doc = read_json(built / "metrics.json")
         assert list(doc)[:7] == head + ["graph_fingerprint", "config"]
         assert list(doc["config"]) == ["graph_format", "seed", "sample_sources"]
+        assert re.fullmatch(GENERATED_AT, doc["generated_at"])
         assert run_cli("compare", "--graph", built / "graph.json",
                        "--sample-sources", 2) == 0
         doc = read_json(built / "comparison.json")
         assert list(doc)[:7] == head + ["config", "subject_source"]
+        assert re.fullmatch(GENERATED_AT, doc["generated_at"])
         assert list(doc["config"]) == ["graph_format", "seed", "samples",
                                        "acc_threshold", "aspl_threshold",
                                        "sample_sources"]
@@ -1071,42 +1140,47 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert "usage:" in result.stdout
 
-    def test_importing_the_cli_does_not_load_requests(self, tmp_path):
-        graph = tmp_path / "graph.json"
-        graph.write_text('{"vertices":["A","B","C"],'
-                         '"edges":[["A","B",1],["B","C",2]]}\n')
-        # The analysis commands load no download code and, whatever
-        # --workers says, no thread pool.
-        code = ("import sys, ledgernet.cli as cli\n"
-                "names = ('requests', 'ledgernet.ingestion', 'concurrent.futures')\n"
-                "print([n in sys.modules for n in names])\n"
-                "for workers in ([], ['--workers', '1'], ['--workers', '2']):\n"
-                "    for command in ('analyze', 'compare'):\n"
-                f"        assert cli.main([command, '--graph', {str(graph)!r},\n"
-                "                         '--force', *workers]) == 0\n"
-                "print([n in sys.modules for n in names])\n")
-        result = subprocess.run([sys.executable, "-c", code],
-                                env=dict(os.environ, PYTHONPATH=SRC),
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert lines[0] == lines[-1] == "[False, False, False]", result.stdout
-
-    def test_build_loads_no_download_code(self, fixture_dir, tmp_path):
+    def test_each_command_loads_only_its_own_code(self, tmp_path):
+        # Run as ``python -m ledgernet``, so that what the package itself
+        # imports counts too; each command gets a fresh interpreter.
+        analysis = ("ledgernet.metrics", "ledgernet.baseline", "hashlib")
+        download_code = ("ledgernet.ingestion.download",
+                         "ledgernet.ingestion.providers", "concurrent.futures",
+                         "requests")
+        # analyze and compare load nothing under ledgernet.ingestion and,
+        # whatever --workers says, no thread pool.
+        no_ingestion = ("ledgernet.ingestion", "concurrent.futures", "requests")
         out = tmp_path / "out"
-        assert download(fixture_dir, out) == 0
-        code = ("import sys, ledgernet.cli as cli\n"
-                f"assert cli.main(['build', '--output-dir', {str(out)!r},\n"
-                "                 '--format', 'both']) == 0\n"
-                "names = ('ledgernet.ingestion.download', 'ledgernet.ingestion.providers',\n"
-                "         'concurrent.futures', 'requests')\n"
-                "print([n for n in names if n in sys.modules])\n")
-        result = subprocess.run([sys.executable, "-c", code],
-                                env=dict(os.environ, PYTHONPATH=SRC),
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]", result.stdout
-        assert (out / "graph.pajek").exists()
+        graph = str(out / "graph.json")
+        commands = [
+            (["download", "--chain", "ethereum", "--fixture", str(MINI),
+              "--from-block", "0", "--to-block", "99", "--chunk-size", "30",
+              "--output-dir", str(out)], analysis),
+            (["build", "--output-dir", str(out)], analysis + download_code),
+            (["analyze", "--graph", graph, "--workers", "2"],
+             ("ledgernet.baseline",) + no_ingestion),
+            (["compare", "--graph", graph, "--workers", "2"], no_ingestion),
+            (["report", "--dir", str(out)], analysis + download_code),
+        ]
+        code = ("import json, runpy, sys\n"
+                "sys.argv = ['ledgernet', *sys.argv[1:]]\n"
+                "try:\n"
+                "    runpy.run_module('ledgernet', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(json.dumps(sorted(sys.modules)))\n")
+        loaded = {}
+        for argv, forbidden in commands:
+            result = subprocess.run([sys.executable, "-c", code, *argv],
+                                    env=dict(os.environ, PYTHONPATH=SRC),
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            modules = json.loads(result.stdout.splitlines()[-1])
+            assert "ledgernet.cli" in modules
+            loaded[argv[0]] = sorted(set(forbidden) & set(modules))
+        assert loaded == dict.fromkeys(
+            ["download", "build", "analyze", "compare", "report"], [])
+        assert (out / "graph.pajek").exists() and (out / "comparison.json").exists()
 
 
 class TestInterrupt:

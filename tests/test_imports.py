@@ -1,12 +1,20 @@
-"""Which modules may start process or thread pools.
+"""What importing ledgernet loads, and which modules may start process or
+thread pools.
 
 Analysis is pure-Python graph walking, which the GIL serialises, so a pool
 there only costs time.  Downloads wait on the network, so their threads pay.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import ledgernet
 from ledgernet import cli
 
 PACKAGE = Path(cli.__file__).parent
@@ -29,3 +37,31 @@ def test_only_the_downloader_imports_a_pool_module():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {
         "ingestion/download.py": ["concurrent.futures"]}
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    names = [name for name in ledgernet.__all__ if name != "__version__"]
+    for name in names:
+        module = importlib.import_module(f"ledgernet.{ledgernet._MODULE_OF[name]}")
+        assert getattr(ledgernet, name) is getattr(module, name), name
+    namespace = {}
+    exec("from ledgernet import *", namespace)
+    assert {name: namespace[name] for name in ledgernet.__all__} == {
+        name: getattr(ledgernet, name) for name in ledgernet.__all__}
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError,
+                       match="^module 'ledgernet' has no attribute 'no_such_name'$"):
+        ledgernet.no_such_name
+
+
+def test_reading_the_version_loads_no_submodule():
+    code = ("import sys, ledgernet\n"
+            "assert ledgernet.__version__\n"
+            "print([m for m in sys.modules if m.startswith('ledgernet.')])\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

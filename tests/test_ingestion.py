@@ -591,6 +591,14 @@ class TestFoldChunks:
         with pytest.raises(CheckpointError, match="chunk_3_5.ndjson is marked done"):
             fold_chunks(out / "chunks", ETH, checkpoint)
 
+    @pytest.mark.parametrize("chain", [Chain.BITCOIN, "bitcoin"])
+    def test_chain_other_than_the_checkpoint_is_rejected(self, tmp_path, chain):
+        out = tmp_path / "out"
+        _, checkpoint = run_fixture_download(make_fixture(tmp_path / "fx"), out)
+        with pytest.raises(CheckpointError,
+                           match="^the checkpoint is for ethereum, not bitcoin$"):
+            fold_chunks(out / "chunks", chain, checkpoint)
+
     @pytest.mark.parametrize("name", ["chunk_10_12.ndjson", "chunk_0_1.ndjson",
                                       "chunk_03_5.ndjson"])
     def test_file_outside_the_plan_is_rejected(self, tmp_path, name):

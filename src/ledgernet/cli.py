@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime error, 130 interrupted.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,7 +21,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import LedgerNetError, ParseError, UsageError
-from .formats import FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph, infer_format
+from .formats import (FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph,
+                      infer_format, read_json, write_json)
 from .graph import Chain
 
 if TYPE_CHECKING:
@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
                             "the baseline graphs")
         p.add_argument("--output", metavar="PATH",
                        help=f"report path (default: {report} beside the graph)")
-        common(p)
+        p.add_argument("--force", action="store_true",
+                       help="rewrite an existing report")
         p.set_defaults(handler=handler)
         return p
 
@@ -139,7 +140,7 @@ def _build_parser() -> _Parser:
 
 
 # What a config file value must be, by the setting's ``cast``, and the
-# names of the JSON types json.load gives.
+# names of the JSON types read_json gives.
 _CONFIG_TYPES = {str: "a string", float: "a number", int: "an integer"}
 _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number",
                str: "a string", list: "an array", dict: "an object"}
@@ -184,13 +185,11 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # also not UTF-8, too many digits
+        return read_json(path)
+    except ValueError as exc:  # also not UTF-8, too many digits
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return doc
+    except TypeError:
+        raise UsageError(f"config file {path} must hold a JSON object") from None
 
 
 def _workers(value: int | None) -> int | None:
@@ -213,24 +212,12 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-def _write_json(path, doc) -> None:
-    """Serialise first, so that a document json rejects leaves no partial file."""
-    payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
-
-
 def _read_report(path, section: str) -> tuple[dict, dict]:
     """A report and its nested ``section`` object ({} when absent)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:
+        doc = read_json(path)
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"corrupt report: {exc}", path=path) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("corrupt report: not a JSON object", path=path)
     nested = doc.get(section, {})
     if not isinstance(nested, dict):
         raise ParseError(f"corrupt report: {section!r} is not a JSON object",
@@ -253,12 +240,15 @@ def _skip_existing(path, force: bool) -> bool:
 def _report_path(args, name: str) -> Path | None:
     """Check the flags analyze and compare share, then the report path:
     ``--output``, or ``name`` beside the graph; None when an existing report
-    is kept."""
+    is kept.  The report's directory is created."""
     _workers(args.workers)
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     output = Path(args.output) if args.output else Path(args.graph).parent / name
-    return None if _skip_existing(output, args.force) else output
+    if _skip_existing(output, args.force):
+        return None
+    output.parent.mkdir(parents=True, exist_ok=True)
+    return output
 
 
 def _report_head(graph_file) -> dict:
@@ -400,7 +390,7 @@ def cmd_download(args) -> int:
         "checkpoint_saves": summary.checkpoint_saves,
         "timings_seconds": summary.timings,
     }
-    _write_json(out_dir / "download_summary.json", doc)
+    write_json(out_dir / "download_summary.json", doc, indent=2)
     print(f"downloaded {summary.blocks_fetched} blocks "
           f"({summary.transactions_written} transactions) into "
           f"{summary.chunks_completed} chunks; "
@@ -464,7 +454,7 @@ def cmd_analyze(args) -> int:
     doc["config"] = _echo(graph_format=fmt, seed=args.seed,
                           sample_sources=args.sample_sources)
     doc.update(report.to_json_dict())
-    _write_json(output, doc)
+    write_json(output, doc, indent=2)
     acc = "undefined" if report.graph_acc is None else f"{report.graph_acc:.6g}"
     aspl_text = ("undefined" if report.main_component_aspl is None
                  else f"{report.main_component_aspl:.6g}")
@@ -481,8 +471,7 @@ def _reusable_subject(args, graph) -> MetricsReport | None:
     from .metrics import MetricsReport, graph_fingerprint
     path = Path(args.graph).parent / "metrics.json"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         config = doc["config"]
         if (doc["tool_version"] != __version__
                 or config.get("seed") != args.seed
@@ -490,7 +479,7 @@ def _reusable_subject(args, graph) -> MetricsReport | None:
                 or doc["graph_fingerprint"] != graph_fingerprint(graph)):
             return None
         report = MetricsReport.from_json_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     if (report.node_count, report.edge_count) != (graph.node_count,
                                                    graph.edge_count):
@@ -531,7 +520,7 @@ def cmd_compare(args) -> int:
                           sample_sources=args.sample_sources)
     doc["subject_source"] = source
     doc.update(comparison.to_json_dict())
-    _write_json(output, doc)
+    write_json(output, doc, indent=2)
     verdict = comparison.verdict
     answer = "IS" if verdict.is_small_world else "is NOT"
     print(f"{args.graph} {answer} small-world: "

@@ -1,4 +1,5 @@
-"""Graph file encodings: JSON and Pajek.
+"""Graph file encodings, JSON and Pajek, and the strict JSON reader and
+atomic JSON writer behind every JSON file ledgernet uses.
 
 Both encodings carry the same information: the vertex list in ID order and
 the undirected weighted edge list.  Directed activity counters are not part
@@ -97,6 +98,36 @@ def atomic_write(path, *parts: bytes) -> None:
         raise
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def parse_json(text: str):
+    """Strict ``json.loads``: NaN, Infinity, deep nesting and too many digits
+    raise ValueError, bad syntax json.JSONDecodeError (with its position)."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``: a file that is not strict
+    JSON raises ValueError, any other top-level value TypeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = parse_json(fh.read())
+    if not isinstance(doc, dict):
+        raise TypeError("not a JSON object")
+    return doc
+
+
+def write_json(path, doc, **layout) -> None:
+    """Replace ``path`` atomically with ``doc`` as strict JSON, laid out by
+    the json.dumps keywords ``layout``, and a newline."""
+    text = json.dumps(doc, allow_nan=False, **layout)
+    atomic_write(path, text.encode("utf-8"), b"\n")
+
+
 def export_graph(graph: InteractionGraph, path, fmt: str) -> None:
     if normalize_format(fmt) == FORMAT_JSON:
         export_json(graph, path)
@@ -140,10 +171,10 @@ def _int(digits: str, path, line: int) -> int:
 
 def _parse_json(text: str, path) -> InteractionGraph:
     try:
-        doc = json.loads(text)
+        doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # too many digits or too deep
+    except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
     _require(isinstance(doc, dict), "top-level value is not an object", path)
     unknown = set(doc) - {"chain", "vertices", "edges"}

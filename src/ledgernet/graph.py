@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, KeysView
+from typing import Iterable
 
 from .errors import AddressError
 
@@ -150,23 +150,10 @@ class InteractionGraph:
     def node_id(self, key: str) -> int:
         return self._ids[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._ids
-
-    def key_of(self, node: int) -> str:
-        if not 1 <= node <= self.node_count:
-            raise LookupError(f"node {node} not in graph")
-        return self.keys[node]
-
     def degree(self, node: int) -> int:
         if not 1 <= node <= self.node_count:
             raise LookupError(f"node {node} not in graph")
         return len(self.adj[node])
-
-    def neighbors(self, node: int) -> KeysView[int]:
-        if not 1 <= node <= self.node_count:
-            raise LookupError(f"node {node} not in graph")
-        return self.adj[node].keys()
 
     def record_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> None:
         """Add the unordered edge {a, b} or fold more volume into it."""

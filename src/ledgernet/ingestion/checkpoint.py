@@ -8,11 +8,10 @@ the previous or the next consistent state on disk, never a torn file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..errors import CheckpointError
-from ..formats import atomic_write
+from ..formats import read_json, write_json
 from ..graph import Chain
 
 FORMAT_VERSION = 1
@@ -67,31 +66,24 @@ class Checkpoint:
         chain, first, last, chunk_size = params
         return f"{chain.value} blocks {first}..{last} in chunks of {chunk_size}"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def save(self, path) -> None:
+        write_json(path, {
             "version": self.version,
             "chain": self.chain.value,
             "first": self.first,
             "last": self.last,
             "chunk_size": self.chunk_size,
             "done": sorted(self.done),
-        }
-
-    def save(self, path) -> None:
-        atomic_write(path, json.dumps(self.to_json_dict(),
-                                      separators=(",", ":")).encode(), b"\n")
+        }, separators=(",", ":"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = read_json(path)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # bad JSON or not UTF-8
+        except (ValueError, TypeError) as exc:
             raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CheckpointError(f"corrupt checkpoint {path}: not an object")
         expected = {"version", "chain", "first", "last", "chunk_size", "done"}
         if set(doc) != expected:
             raise CheckpointError(

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..errors import CheckpointError, ParseError
+from ..formats import parse_json
 from ..graph import (
     Chain,
     InteractionGraph,
@@ -70,10 +71,10 @@ def _decode_record(line: str, chain: Chain | str, path,
     """The fields of one valid chunk line, in ``_FIELDS`` order, with
     canonical address keys; a fault raises ParseError."""
     try:
-        record = json.loads(line)
+        record = parse_json(line)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # too many digits or too deep
+    except ValueError as exc:
         raise ParseError(str(exc), path=path, line=line_no) from exc
     try:
         if not isinstance(record, dict) or record.keys() != _FIELD_SET:

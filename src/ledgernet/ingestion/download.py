@@ -62,9 +62,6 @@ class BlockRange:
         if self.first < 0 or self.first > self.last:
             raise ValueError(f"bad block range {self.first}..{self.last}")
 
-    def __len__(self) -> int:
-        return self.last - self.first + 1
-
 
 @dataclass
 class DownloadTask:

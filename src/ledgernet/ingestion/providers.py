@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import ProviderError
+from ..formats import read_json
 from ..graph import Chain, Transaction, canonicalize_address
 
 if TYPE_CHECKING:
@@ -74,9 +75,8 @@ class FixtureProvider(BlockProvider):
         meta = self.root / "meta.json"
         if meta.exists():
             try:
-                meta_chain = Chain(json.loads(
-                    meta.read_text(encoding="utf-8"))["chain"])
-            except (OSError, ValueError, KeyError) as exc:
+                meta_chain = Chain(read_json(meta)["chain"])
+            except (OSError, ValueError, TypeError, KeyError) as exc:
                 raise ProviderError(f"fixture {self.root} has a broken "
                                     f"meta.json: {exc}", permanent=True) from exc
         if chain is None:
@@ -111,16 +111,16 @@ class FixtureProvider(BlockProvider):
     def _read_block(self, height: int) -> dict:
         path = self.root / fixture_block_name(height)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = read_json(path)
         except OSError as exc:
             raise ProviderError(f"fixture block {height} missing: {exc}",
                                 permanent=True) from exc
         except ValueError as exc:
             raise ProviderError(f"fixture block {height} unreadable: {exc}",
                                 permanent=True) from exc
-        if not isinstance(doc, dict):
-            raise ProviderError(f"fixture block {height} malformed: not a JSON object",
-                                permanent=True)
+        except TypeError as exc:
+            raise ProviderError(f"fixture block {height} malformed: {exc}",
+                                permanent=True) from exc
         if doc.get("height") != height:
             raise ProviderError(
                 f"fixture block file {path.name} claims height {doc.get('height')}",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -13,6 +14,7 @@ import requests
 
 from conftest import make_fixture
 from ledgernet import __version__, cli
+from ledgernet.formats import write_json
 from ledgernet.ingestion import list_chunk_files
 
 ENV_VARS = ("LEDGERNET_ENDPOINT", "LEDGERNET_API_KEY", "LEDGERNET_RATE_LIMIT",
@@ -70,6 +72,14 @@ def stripped(doc):
 
 def chunk_bytes(out):
     return {p.name: p.read_bytes() for p in list_chunk_files(out / "chunks")}
+
+
+def config_line_without_the_value(config_path, value) -> str:
+    """The one stderr line for a config file holding NaN or Infinity, which
+    strict JSON does not have; it names the token, never the value."""
+    token = "NaN" if math.isnan(value) else "Infinity"
+    return (f"usage error: config file {config_path} is not valid JSON: "
+            f"{token} is not a JSON number\n")
 
 
 class TestDownload:
@@ -179,6 +189,31 @@ class TestDownload:
         assert err.startswith("error: fixture block ")
         assert err.endswith(f" malformed: {problem}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("meta, problem", [
+        (DEEP_JSON, "maximum recursion depth"), (b"[]", "not a JSON object")],
+        ids=["deeply-nested", "not-an-object"])
+    def test_broken_fixture_meta_exits_2_with_one_line(
+            self, fixture_dir, tmp_path, capsys, meta, problem):
+        (fixture_dir / "meta.json").write_bytes(meta)
+        assert download(fixture_dir, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fixture {fixture_dir} has a broken "
+                              f"meta.json: {problem}")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_fixture_block_exits_2_with_one_line(
+            self, fixture_dir, tmp_path, capsys):
+        (fixture_dir / "block_00000002.json").write_bytes(DEEP_JSON)
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--workers", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixture block 2 unreadable: "
+                              "maximum recursion depth")
+        assert err.count("\n") == 1
+        checkpoint = read_json(out / "checkpoint.json")
+        assert 0 not in checkpoint["done"]
+        assert "chunk_0_2.ndjson" not in chunk_bytes(out)
 
     def test_force_discards_previous_run(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -321,8 +356,12 @@ class TestDownload:
         config_path.write_text(json.dumps({key: value}))
         out = tmp_path / "out"
         assert download(fixture_dir, out, "--config", config_path) == 1
-        assert capsys.readouterr().err == (
-            f"usage error: config key {key!r} must be {expected}, got {got}\n")
+        if value == math.inf:
+            expected_line = config_line_without_the_value(config_path, value)
+        else:
+            expected_line = (f"usage error: config key {key!r} must be "
+                             f"{expected}, got {got}\n")
+        assert capsys.readouterr().err == expected_line
         assert not out.exists()
 
     def test_config_number_too_large_for_a_float_is_a_usage_error(
@@ -380,8 +419,11 @@ class TestDownload:
         out = tmp_path / "out"
         assert download(fixture_dir, out, *extra) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {named} must be ")
-        assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
+        if source == "config" and not math.isfinite(bad):
+            assert err == config_line_without_the_value(config_path, bad)
+        else:
+            assert err.startswith(f"usage error: {named} must be ")
+            assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
         assert not out.exists()
 
     def test_negative_slack_is_usage_error(self, fixture_dir, tmp_path, capsys):
@@ -981,6 +1023,26 @@ class TestCompareReuse:
         assert without(read_json(fresh / "comparison.json"), "graph_file") == \
             without(doc, "graph_file")
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(main_component_acc=math.nan),
+        lambda doc: doc["timings_seconds"].update(
+            {next(iter(doc["timings_seconds"])): math.inf}),
+    ], ids=["nan-acc", "infinite-timing"])
+    def test_report_that_is_not_strict_json_is_not_reused(self, built, capsys,
+                                                          analyses, edit):
+        metrics_path = built / "metrics.json"
+        run_cli("analyze", "--graph", built / "graph.json")
+        rewrite_json(metrics_path, edit)  # json.dumps writes NaN, Infinity
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", built / "graph.json") == 0
+        assert "subject computed ->" in capsys.readouterr().out
+        assert len(analyses) == 2
+        assert read_json(built / "comparison.json")["subject_source"] == "computed"
+        assert run_cli("report", "--dir", built) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corrupt report: " in err
+        assert str(metrics_path) in err and err.count("\n") == 1
+
     def test_metrics_document_records_the_fingerprint(self, built):
         from ledgernet import import_graph
         from ledgernet.metrics import graph_fingerprint
@@ -1045,7 +1107,7 @@ class TestGraphCommands:
     def test_accept_the_same_shared_flags(self, tmp_path):
         shared = ["--graph", "g.net", "--format", "json", "--workers", "2",
                   "--sample-sources", "3", "--seed", "4", "--output", "r.json",
-                  "--output-dir", "d", "--force"]
+                  "--force"]
         analyze_args, compare_args = (
             {key: value for key, value
              in vars(cli._build_parser().parse_args([command, *shared])).items()
@@ -1053,8 +1115,27 @@ class TestGraphCommands:
             for command in ("analyze", "compare"))
         assert analyze_args == {
             "graph": "g.net", "format": "json", "workers": 2, "sample_sources": 3,
-            "seed": 4, "output": "r.json", "output_dir": "d", "force": True}
+            "seed": 4, "output": "r.json", "force": True}
         assert {key: compare_args[key] for key in analyze_args} == analyze_args
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_output_directory_is_created(self, built, tmp_path, command):
+        output = tmp_path / "new" / "sub" / "report.json"
+        assert run_cli(command, "--graph", built / "graph.json",
+                       "--output", output) == 0
+        assert read_json(output)["graph_file"] == str(built / "graph.json")
+        assert list(output.parent.iterdir()) == [output]
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_output_dir_is_a_usage_error(self, built, tmp_path, capsys, command):
+        elsewhere = tmp_path / "elsewhere"
+        assert run_cli(command, "--graph", built / "graph.json",
+                       "--output-dir", elsewhere) == 1
+        err = capsys.readouterr().err
+        assert err == ("usage error: ledgernet: unrecognized arguments: "
+                       f"--output-dir {elsewhere}\n")
+        assert not elsewhere.exists()
+        assert not (built / "metrics.json").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     @pytest.mark.parametrize("flag, message", [
@@ -1105,19 +1186,22 @@ class TestReport:
 
 
 class TestWriteJson:
+    """Reports go through ``formats.write_json``."""
+
     def test_unserialisable_document_leaves_no_file(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            cli._write_json(path, {"ratio": float("nan")})
-        assert not path.exists()
+            write_json(path, {"ratio": float("nan")}, indent=2)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unserialisable_document_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "report.json"
-        cli._write_json(path, {"ratio": 1.5})
+        write_json(path, {"ratio": 1.5}, indent=2)
         before = path.read_bytes()
         with pytest.raises(ValueError):
-            cli._write_json(path, {"ratio": float("inf")})
+            write_json(path, {"ratio": float("inf")}, indent=2)
         assert path.read_bytes() == before == b'{\n  "ratio": 1.5\n}\n'
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestEntryPoints:

@@ -13,7 +13,8 @@ from ledgernet import (
     export_pajek,
     import_graph,
 )
-from ledgernet.formats import export_graph, infer_format
+from ledgernet.formats import (export_graph, infer_format, parse_json, read_json,
+                               write_json)
 
 import oracles
 
@@ -111,6 +112,58 @@ class TestAtomicReplace:
         with pytest.raises(ExportError, match="rename refused"):
             export(two_node_graph(), path)
         assert path.read_bytes() == b"older graph\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestStrictJson:
+    """Every JSON file ledgernet reads or writes goes through these."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_rejected(self, token):
+        with pytest.raises(ValueError) as info:
+            parse_json(f'{{"x": [1, {token}]}}')
+        assert str(info.value) == f"{token} is not a JSON number"
+        assert not isinstance(info.value, json.JSONDecodeError)
+
+    def test_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^maximum recursion depth"):
+            parse_json("[" * 100_000)
+
+    def test_bad_syntax_keeps_its_position(self):
+        with pytest.raises(json.JSONDecodeError) as info:
+            parse_json('{\n  "x": nan}')
+        assert (info.value.lineno, info.value.colno) == (2, 8)
+
+    def test_finite_numbers_are_kept(self):
+        assert parse_json('{"x": [1e308, -0.5, 10]}') == {"x": [1e308, -0.5, 10]}
+
+    @pytest.mark.parametrize("content, error", [
+        (b"[1]", TypeError), (b'"x"', TypeError), (b"\xff\xfe{}", ValueError),
+        (b'{"x": NaN}', ValueError), (b"", ValueError)])
+    def test_read_json_wants_a_strict_json_object(self, tmp_path, content, error):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            read_json(path)
+
+    def test_write_json_round_trips_through_read_json(self, tmp_path):
+        path = tmp_path / "doc.json"
+        doc = {"b": [1, 2.5, None], "a": "\u00e9"}
+        write_json(path, doc, indent=2)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        assert read_json(path) == doc
+
+    def test_failed_rename_keeps_the_older_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"{}\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_json(path, {"x": 1})
+        assert path.read_bytes() == b"{}\n"
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -278,6 +331,7 @@ class TestImportGraph:
          "edge is not a [key, key, amount] triple: 'AB1'"),
         ('{"vertices":["A","B"],"edges":[["A","X",1]]}',
          "edge names unlisted vertex: 'X'"),
+        ('{"vertices":["A","B"],"edges":[["A","B",NaN]]}', "NaN is not a JSON number"),
     ]
 
     @pytest.mark.parametrize("doc, message", JSON_ERRORS,

@@ -1,8 +1,10 @@
-"""What importing ledgernet loads, and which modules may start process or
-thread pools.
+"""What importing ledgernet loads, which modules may start process or
+thread pools, and which may parse or serialise JSON.
 
 Analysis is pure-Python graph walking, which the GIL serialises, so a pool
 there only costs time.  Downloads wait on the network, so their threads pay.
+JSON goes through ``formats``, so every input is read as strict JSON and
+every output replaced atomically in one place.
 """
 
 import ast
@@ -19,6 +21,7 @@ from ledgernet import cli
 
 PACKAGE = Path(cli.__file__).parent
 POOL_MODULES = ("concurrent", "multiprocessing")
+JSON_FUNCTIONS = ("load", "loads", "dump", "dumps")
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -37,6 +40,38 @@ def test_only_the_downloader_imports_a_pool_module():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {
         "ingestion/download.py": ["concurrent.futures"]}
+
+
+def json_calls(path: Path) -> list[tuple[str, str]]:
+    """``(owner, function)`` for each use of json.load/loads/dump/dumps in
+    ``path``, as ``json.<function>`` or imported by name; the owner is the
+    top-level def or class around it."""
+    calls = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in JSON_FUNCTIONS
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += [(owner, alias.name) for alias in node.names
+                          if alias.name in JSON_FUNCTIONS]
+    return calls
+
+
+def test_only_formats_parses_json_and_fixture_writers_serialise_it_too():
+    parsers, serialisers = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = path.relative_to(PACKAGE).as_posix()
+        for owner, function in json_calls(path):
+            if function.startswith("load"):
+                parsers.add(name)
+            else:
+                serialisers.add(name if name == "formats.py" else f"{name}:{owner}")
+    assert parsers == {"formats.py"}
+    assert serialisers == {"formats.py",
+                           "ingestion/providers.py:write_fixture_block",
+                           "ingestion/providers.py:write_fixture_meta"}
 
 
 def test_each_public_name_is_the_object_its_module_defines():

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import re
 import threading
 import time
 
@@ -128,6 +129,36 @@ class TestFixtureProvider:
         make_fixture(tmp_path, block_count=2)
         with pytest.raises(ProviderError) as info:
             FixtureProvider(tmp_path).block_transactions(5)
+        assert info.value.permanent
+
+    @pytest.mark.parametrize("meta, problem", [
+        ("[" * 100_000, "maximum recursion depth"),
+        ("[]", "not a JSON object"),
+        ('{"chain": NaN}', "NaN is not a JSON number"),
+    ], ids=["deeply-nested", "not-an-object", "nan"])
+    def test_broken_meta_is_a_permanent_error(self, tmp_path, meta, problem):
+        make_fixture(tmp_path, txs_per_block=0)
+        (tmp_path / "meta.json").write_text(meta)
+        with pytest.raises(ProviderError,
+                           match=f"^fixture {re.escape(str(tmp_path))} has a "
+                                 f"broken meta.json: {problem}") as info:
+            FixtureProvider(tmp_path, "ethereum")
+        assert info.value.permanent
+
+    @pytest.mark.parametrize("body, problem", [
+        ("[" * 100_000, "unreadable: maximum recursion depth"),
+        ('{"height": 1, "timestamp": NaN, "transactions": []}',
+         "unreadable: NaN is not a JSON number"),
+        ("[]", "malformed: not a JSON object"),
+    ], ids=["deeply-nested", "nan", "not-an-object"])
+    @pytest.mark.parametrize("call", ["block_header", "block_transactions"])
+    def test_unreadable_block_is_a_permanent_error(self, tmp_path, body, problem,
+                                                   call):
+        make_fixture(tmp_path, block_count=2)
+        (tmp_path / "block_00000001.json").write_text(body)
+        with pytest.raises(ProviderError,
+                           match=f"^fixture block 1 {problem}") as info:
+            getattr(FixtureProvider(tmp_path), call)(1)
         assert info.value.permanent
 
 

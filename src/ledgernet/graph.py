@@ -65,6 +65,24 @@ def canonicalize_address(raw: str, chain: Chain | str) -> str:
     return key
 
 
+# A transfer as a chunk line holds it: (block height, timestamp, sender or
+# None, recipient, amount), with canonical keys.
+Record = tuple[int, int, str | None, str, int]
+
+
+def transfer_record(height, timestamp, sender, recipient, amount) -> Record:
+    """The record of one transfer; fields that make no valid ``Transaction``
+    raise ValueError."""
+    if not (type(amount) is type(height) is type(timestamp) is int):
+        raise ValueError("amount, block height and timestamp must be integers, "
+                         f"got {amount!r}, {height!r}, {timestamp!r}")
+    if amount < 0:
+        raise ValueError(f"negative amount: {amount}")
+    if height < 0:
+        raise ValueError(f"negative block height: {height}")
+    return height, timestamp, sender, recipient, amount
+
+
 @dataclass(frozen=True)
 class Transaction:
     """One directed value transfer recorded on the ledger.
@@ -82,15 +100,8 @@ class Transaction:
     timestamp: int
 
     def __post_init__(self):
-        if not (type(self.amount) is type(self.block_height)
-                is type(self.timestamp) is int):
-            raise ValueError("amount, block height and timestamp must be integers, "
-                             f"got {self.amount!r}, {self.block_height!r}, "
-                             f"{self.timestamp!r}")
-        if self.amount < 0:
-            raise ValueError(f"negative amount: {self.amount}")
-        if self.block_height < 0:
-            raise ValueError(f"negative block height: {self.block_height}")
+        transfer_record(self.block_height, self.timestamp, self.sender,
+                        self.recipient, self.amount)
 
 
 @dataclass(slots=True)

@@ -11,7 +11,6 @@ _MODULE_OF = {
     **dict.fromkeys([
         "chunk_filename",
         "decode_transaction",
-        "encode_transaction",
         "fold_chunks",
         "iter_chunk_transactions",
         "list_chunk_files",

@@ -6,10 +6,11 @@ keep month-scale downloads compact on disk:
 
     {"h": height, "t": timestamp, "s": sender-or-null, "r": recipient, "v": amount}
 
-A line as ``encode_transaction`` writes it (these fields in this order, no
-spaces, integers without leading zeros, keys already canonical and free of
-JSON escapes) is read by one pattern match; any other line is parsed as JSON
-under the same rules, so both give the same record or the same error.
+A line as ``write_chunk`` writes it (these fields in this order, no spaces,
+integers without leading zeros, keys already canonical and free of JSON
+escapes) is read by one pattern match; any other line is parsed as JSON
+under the same rules, so both give the same record (``graph.Record``) or the
+same error.
 
 Chunk files are the durable hand-off between the downloader and the graph
 builder, and the only place directed per-transaction detail survives.
@@ -28,15 +29,17 @@ from ..formats import parse_json
 from ..graph import (
     Chain,
     InteractionGraph,
+    Record,
     Transaction,
     canonicalize_address,
+    transfer_record,
 )
 from .checkpoint import Checkpoint
 
 _CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
 _FIELDS = ("h", "t", "s", "r", "v")
 _FIELD_SET = frozenset(_FIELDS)
-# The line encode_transaction writes, by chain, when its keys are canonical
+# The line write_chunk writes, by chain, when its keys are canonical
 # and need no JSON escape (for Bitcoin, printable ASCII but space, '"' and
 # '\'); 78 digits cover 2**256.
 _DIGITS = "(?:0|[1-9][0-9]{0,77})"
@@ -58,16 +61,8 @@ def parse_chunk_filename(name: str) -> tuple[int, int] | None:
     return int(match.group(1)), int(match.group(2))
 
 
-def encode_transaction(tx: Transaction) -> str:
-    """The chunk line of ``tx``, as ``json.dumps`` with compact separators
-    writes it (``Transaction`` fields are exact ints)."""
-    sender = "null" if tx.sender is None else _quote(tx.sender)
-    return (f'{{"h":{tx.block_height},"t":{tx.timestamp},"s":{sender},'
-            f'"r":{_quote(tx.recipient)},"v":{tx.amount}}}\n')
-
-
 def _decode_record(line: str, chain: Chain | str, path,
-                   line_no: int | None) -> tuple[int, int, str | None, str, int]:
+                   line_no: int | None) -> Record:
     """The fields of one valid chunk line, in ``_FIELDS`` order, with
     canonical address keys; a fault raises ParseError."""
     try:
@@ -91,14 +86,10 @@ def _decode_record(line: str, chain: Chain | str, path,
             raise ValueError(f"field 'r' must be a string, got {recipient!r}")
         if sender is not None:
             sender = canonicalize_address(sender, chain)
-        recipient = canonicalize_address(recipient, chain)
-        if amount < 0:
-            raise ValueError(f"negative amount: {amount}")
-        if height < 0:
-            raise ValueError(f"negative block height: {height}")
+        return transfer_record(height, timestamp, sender,
+                               canonicalize_address(recipient, chain), amount)
     except ValueError as exc:
         raise ParseError(str(exc), path=path, line=line_no) from exc
-    return height, timestamp, sender, recipient, amount
 
 
 def decode_transaction(line: str, chain: Chain | str, *,
@@ -107,14 +98,14 @@ def decode_transaction(line: str, chain: Chain | str, *,
     return Transaction(s, r, v, h, t)
 
 
-def write_chunk(path, transactions: Iterable[Transaction]) -> int:
-    """Write one chunk file; returns the number of lines written."""
-    count = 0
+def write_chunk(path, records: Iterable[Record]) -> int:
+    """Write one chunk file, each record's line as ``json.dumps`` with compact
+    separators writes it; returns the number of lines written."""
+    lines = [f'{{"h":{h},"t":{t},"s":{"null" if s is None else _quote(s)},'
+             f'"r":{_quote(r)},"v":{v}}}\n' for h, t, s, r, v in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tx in transactions:
-            fh.write(encode_transaction(tx))
-            count += 1
-    return count
+        fh.write("".join(lines))
+    return len(lines)
 
 
 def list_chunk_files(chunk_dir) -> list[Path]:
@@ -140,8 +131,7 @@ def _disjoint(files: list[Path]) -> list[Path]:
     return files
 
 
-def _records(files: list[Path], chain: Chain | str
-             ) -> Iterator[tuple[int, int, str | None, str, int]]:
+def _records(files: list[Path], chain: Chain | str) -> Iterator[Record]:
     """``(height, timestamp, sender, recipient, amount)`` of every line of
     ``files`` (sorted by span) in order; overlapping files, a bad line and a
     record outside its file's block span raise ParseError."""

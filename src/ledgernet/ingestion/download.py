@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from ..errors import EmptyRangeError, ProviderError
-from ..graph import Chain, Transaction
+from ..graph import Chain, Record
 from .checkpoint import Checkpoint
 from .chunks import chunk_filename, write_chunk
 from .providers import BlockProvider
@@ -128,13 +128,14 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
                              policy: RetryPolicy | None = None, *,
                              task: DownloadTask | None = None,
                              sleep=time.sleep,
-                             rng: random.Random | None = None) -> list[Transaction]:
-    """One block's transactions, retried until satisfied (or capped)."""
-    txs, attempts = call_with_retry(
+                             rng: random.Random | None = None) -> list[Record]:
+    """One block's transfer records (as ``BlockProvider.block_transactions``
+    returns them, unchecked), retried until satisfied (or capped)."""
+    records, attempts = call_with_retry(
         lambda: provider.block_transactions(height), policy, sleep=sleep, rng=rng)
     if task is not None:
         task.attempt_count += attempts
-    return txs
+    return records
 
 
 def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,
@@ -235,14 +236,14 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
     def fetch_chunk(task: DownloadTask):
         if stop_event.is_set():
             return task, None, 0, 0
-        transactions: list[Transaction] = []
+        records: list[Record] = []
         blocks = 0
         for height in range(task.first, task.last + 1):
-            transactions.extend(fetch_block_transactions(
+            records.extend(fetch_block_transactions(
                 provider, height, retry_policy, task=task))
             blocks += 1
         temp = chunk_dir / f".tmp-{chunk_filename(task.first, task.last)}"
-        lines = write_chunk(temp, transactions)
+        lines = write_chunk(temp, records)
         return task, temp, blocks, lines
 
     failure: BaseException | None = None

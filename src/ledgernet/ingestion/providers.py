@@ -1,11 +1,11 @@
 """Block data sources.
 
 Every source implements the same three calls: chain tip height, block header
-timestamp, and the block's transactions already normalized to the domain
-model.  The downloader and the block-range resolver only ever see this
-interface, so the whole pipeline runs identically against a local fixture
-directory, an Ethereum JSON-RPC endpoint, or a blockchain.info-style REST
-API.
+timestamp, and the block's transfers as chunk records with canonical keys
+(``graph.Record``).  The downloader and the block-range resolver only ever
+see this interface, so the whole pipeline runs identically against a local
+fixture directory, an Ethereum JSON-RPC endpoint, or a blockchain.info-style
+REST API.
 
 Blocks are immutable, so a provider must return the same data for the same
 height on every call.  Transient failures (network, rate limits, 5xx) raise
@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import ProviderError
-from ..formats import read_json
-from ..graph import Chain, Transaction, canonicalize_address
+from ..formats import parse_json, read_json
+from ..graph import Chain, Record, canonicalize_address, transfer_record
 
 if TYPE_CHECKING:
     import requests
@@ -53,8 +53,10 @@ class BlockProvider(ABC):
         """Unix timestamp of the block at ``height``."""
 
     @abstractmethod
-    def block_transactions(self, height: int) -> list[Transaction]:
-        """All transactions in the block at ``height``, in block order."""
+    def block_transactions(self, height: int) -> list[Record]:
+        """Records of all transfers in the block at ``height``, in block order,
+        each made by ``graph.transfer_record`` with canonical keys: nothing
+        after the provider checks them again."""
 
 
 def fixture_block_name(height: int) -> str:
@@ -135,25 +137,23 @@ class FixtureProvider(BlockProvider):
     def block_header(self, height: int) -> int:
         return self._read_block(height)["timestamp"]
 
-    def block_transactions(self, height: int) -> list[Transaction]:
+    def block_transactions(self, height: int) -> list[Record]:
         doc = self._read_block(height)
         timestamp = doc["timestamp"]
-        txs = []
+        chain = self.chain
+        records = []
         try:
             for entry in doc["transactions"]:
                 sender = entry["sender"]
-                txs.append(Transaction(
-                    sender=None if sender is None
-                    else canonicalize_address(sender, self.chain),
-                    recipient=canonicalize_address(entry["recipient"], self.chain),
-                    amount=entry["amount"],
-                    block_height=height,
-                    timestamp=timestamp,
-                ))
+                records.append(transfer_record(
+                    height, timestamp,
+                    None if sender is None else canonicalize_address(sender, chain),
+                    canonicalize_address(entry["recipient"], chain),
+                    entry["amount"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"fixture block {height} malformed: {exc}",
                                 permanent=True) from exc
-        return txs
+        return records
 
 
 def write_fixture_block(root, height: int, timestamp: int,
@@ -223,7 +223,7 @@ class EthereumRpcProvider(BlockProvider):
         if response.status_code != 200:
             raise ProviderError(f"{method} returned HTTP {response.status_code}")
         try:
-            doc = response.json()
+            doc = parse_json(response.text)
         except ValueError as exc:
             raise ProviderError(f"{method} returned non-JSON body") from exc
         if not isinstance(doc, dict) or ("result" not in doc and "error" not in doc):
@@ -245,27 +245,25 @@ class EthereumRpcProvider(BlockProvider):
         return self._hex_int(self._block(height, False).get("timestamp"),
                              f"block {height} timestamp")
 
-    def block_transactions(self, height: int) -> list[Transaction]:
+    def block_transactions(self, height: int) -> list[Record]:
         block = self._block(height, True)
         timestamp = self._hex_int(block.get("timestamp"),
                                   f"block {height} timestamp")
-        txs = []
+        records = []
         for entry in block.get("transactions", []):
             recipient = entry.get("to")
             if recipient is None:
                 continue
             try:
-                txs.append(Transaction(
-                    sender=canonicalize_address(entry["from"], self.chain),
-                    recipient=canonicalize_address(recipient, self.chain),
-                    amount=self._hex_int(entry.get("value"), "tx value"),
-                    block_height=height,
-                    timestamp=timestamp,
-                ))
+                records.append(transfer_record(
+                    height, timestamp,
+                    canonicalize_address(entry["from"], self.chain),
+                    canonicalize_address(recipient, self.chain),
+                    self._hex_int(entry.get("value"), "tx value")))
             except (KeyError, ValueError) as exc:
                 raise ProviderError(f"block {height} has a malformed tx: {exc}",
                                     permanent=True) from exc
-        return txs
+        return records
 
     @staticmethod
     def _hex_int(value, label: str) -> int:
@@ -305,7 +303,7 @@ class BitcoinApiProvider(BlockProvider):
         if response.status_code != 200:
             raise ProviderError(f"GET {path} returned HTTP {response.status_code}")
         try:
-            return response.json()
+            return parse_json(response.text)
         except ValueError as exc:
             raise ProviderError(f"GET {path} returned non-JSON body") from exc
 
@@ -333,22 +331,22 @@ class BitcoinApiProvider(BlockProvider):
                                 permanent=True)
         return timestamp
 
-    def block_transactions(self, height: int) -> list[Transaction]:
+    def block_transactions(self, height: int) -> list[Record]:
         block = self._block(height)
         timestamp = block.get("time")
         if type(timestamp) is not int:
             raise ProviderError(f"block {height} has no time field",
                                 permanent=True)
-        txs = []
+        records = []
         try:
             for entry in block.get("tx", []):
-                txs.extend(self._expand(entry, height, timestamp))
+                records.extend(self._expand(entry, height, timestamp))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"block {height} has a malformed tx: {exc}",
                                 permanent=True) from exc
-        return txs
+        return records
 
-    def _expand(self, entry: dict, height: int, timestamp: int) -> list[Transaction]:
+    def _expand(self, entry: dict, height: int, timestamp: int) -> list[Record]:
         senders = []
         for tx_in in entry.get("inputs", []):
             addr = (tx_in.get("prev_out") or {}).get("addr")
@@ -364,14 +362,14 @@ class BitcoinApiProvider(BlockProvider):
             if type(value) is not int:  # divmod would turn True into ints
                 raise ValueError(f"output value must be an integer, got {value!r}")
             if not senders:
-                expanded.append(Transaction(None, recipient, value,
-                                            height, timestamp))
+                expanded.append(transfer_record(height, timestamp, None,
+                                                recipient, value))
                 continue
             share, extra = divmod(value, len(senders))
             for index, sender in enumerate(senders):
-                expanded.append(Transaction(
-                    sender, recipient, share + (1 if index < extra else 0),
-                    height, timestamp))
+                expanded.append(transfer_record(
+                    height, timestamp, sender, recipient,
+                    share + (1 if index < extra else 0)))
         return expanded
 
 
@@ -420,6 +418,6 @@ class ThrottledProvider(BlockProvider):
         self.bucket.acquire()
         return self.provider.block_header(height)
 
-    def block_transactions(self, height: int) -> list[Transaction]:
+    def block_transactions(self, height: int) -> list[Record]:
         self.bucket.acquire()
         return self.provider.block_transactions(height)

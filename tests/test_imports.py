@@ -3,8 +3,8 @@ thread pools, and which may parse or serialise JSON.
 
 Analysis is pure-Python graph walking, which the GIL serialises, so a pool
 there only costs time.  Downloads wait on the network, so their threads pay.
-JSON goes through ``formats``, so every input is read as strict JSON and
-every output replaced atomically in one place.
+JSON goes through ``formats``, so every input, network replies too, is read
+as strict JSON and every output replaced atomically in one place.
 """
 
 import ast
@@ -72,6 +72,16 @@ def test_only_formats_parses_json_and_fixture_writers_serialise_it_too():
     assert serialisers == {"formats.py",
                            "ingestion/providers.py:write_fixture_block",
                            "ingestion/providers.py:write_fixture_meta"}
+
+
+def test_no_json_method_call_bypasses_formats():
+    # requests' response.json() parses without formats.parse_json's rules
+    calls = [f"{path.relative_to(PACKAGE.parent).as_posix()}:{node.lineno}"
+             for path in sorted(PACKAGE.parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "json"]
+    assert calls == []
 
 
 def test_each_public_name_is_the_object_its_module_defines():

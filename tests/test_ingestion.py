@@ -20,6 +20,7 @@ from ledgernet import (
     cli,
     export_json,
 )
+from ledgernet.graph import InteractionGraph
 from ledgernet.ingestion import (
     BitcoinApiProvider,
     BlockRange,
@@ -34,7 +35,6 @@ from ledgernet.ingestion import (
     call_with_retry,
     chunk_filename,
     decode_transaction,
-    encode_transaction,
     fetch_block_transactions,
     fold_chunks,
     iter_chunk_transactions,
@@ -51,6 +51,16 @@ import oracles
 from conftest import ADDR, StopAfterBlocks, make_fixture
 
 ETH = Chain.ETHEREUM
+
+
+def line_of(h, t, s, r, v):
+    """The chunk line ``write_chunk`` must write for one record."""
+    return json.dumps({"h": h, "t": t, "s": s, "r": r, "v": v},
+                      separators=(",", ":")) + "\n"
+
+
+def record_of(tx):
+    return tx.block_height, tx.timestamp, tx.sender, tx.recipient, tx.amount
 
 
 class FlakyProvider:
@@ -73,10 +83,7 @@ class FlakyProvider:
         self.calls += 1
         if self.calls <= self.failures:
             raise ProviderError("scripted failure", permanent=self.permanent)
-        return [Transaction(
-            sender=canonicalize_address(ADDR[0], ETH),
-            recipient=canonicalize_address(ADDR[1], ETH),
-            amount=height + 1, block_height=height, timestamp=height * 100)]
+        return [(height, height * 100, ADDR[0], ADDR[1], height + 1)]
 
 
 class TestFixtureProvider:
@@ -107,10 +114,9 @@ class TestFixtureProvider:
              "recipient": ADDR[1], "amount": 5},
             {"sender": None, "recipient": ADDR[2], "amount": 9},
         ])
-        txs = FixtureProvider(tmp_path).block_transactions(0)
-        assert txs[0].sender == ADDR[0]
-        assert txs[0].timestamp == 1234
-        assert txs[1].sender is None
+        records = FixtureProvider(tmp_path).block_transactions(0)
+        assert records == [(0, 1234, ADDR[0], ADDR[1], 5),
+                           (0, 1234, None, ADDR[2], 9)]
 
     @pytest.mark.parametrize("amount, timestamp", [(1.5, 0), (True, 0), ("5", 0),
                                                    (5, 10.0)])
@@ -160,6 +166,57 @@ class TestFixtureProvider:
                            match=f"^fixture block 1 {problem}") as info:
             getattr(FixtureProvider(tmp_path), call)(1)
         assert info.value.permanent
+
+
+BAD_KEYS = [
+    ("ethereum", "0x123", "malformed ethereum address: '0x123'"),
+    ("ethereum", 12, "empty ethereum address"),
+    ("ethereum", [ADDR[0]], "empty ethereum address"),
+    ("ethereum", {"key": ADDR[0]}, "empty ethereum address"),
+    ("ethereum", "", "empty ethereum address"),
+    ("bitcoin", "a\ud800", "malformed bitcoin address: 'a\\ud800'"),
+    ("bitcoin", ["1Boat"], "empty bitcoin address"),
+]
+
+
+class TestProviderKeys:
+    """What a provider returns and rejects must not depend on which keys
+    came before."""
+
+    @pytest.mark.parametrize("field", ["sender", "recipient"])
+    @pytest.mark.parametrize("chain, raw, problem", BAD_KEYS,
+                             ids=lambda value: repr(value)[:20])
+    def test_bad_key_after_valid_ones_keeps_its_message(self, tmp_path, field,
+                                                        chain, raw, problem):
+        keys = ADDR if chain == "ethereum" else ["1Boat", "1Bo\u00e9t", "1Bo\"at"]
+        write_fixture_meta(tmp_path, chain)
+        write_fixture_block(tmp_path, 0, 0, [
+            {"sender": a, "recipient": b, "amount": 1} for a in keys for b in keys])
+        bad = {"sender": keys[0], "recipient": keys[1], "amount": 1, field: raw}
+        write_fixture_block(tmp_path, 1, 10, [
+            {"sender": keys[1], "recipient": keys[0], "amount": 2}, bad])
+        provider = FixtureProvider(tmp_path)
+        assert len(provider.block_transactions(0)) == len(keys) ** 2
+        with pytest.raises(ProviderError) as info:
+            provider.block_transactions(1)
+        assert str(info.value) == f"fixture block 1 malformed: {problem}"
+        assert info.value.permanent
+
+    def test_spellings_of_one_ethereum_key_map_to_one_node(self, tmp_path):
+        spellings = [ADDR[0], ADDR[0].upper().replace("0X", "0x"), ADDR[0][2:],
+                     ADDR[0].upper(), f" {ADDR[0]}\t", ADDR[0][2:].upper()]
+        write_fixture_meta(tmp_path, "ethereum")
+        for height in range(2):
+            write_fixture_block(tmp_path, height, height, [
+                {"sender": raw, "recipient": ADDR[1], "amount": 3}
+                for raw in spellings])
+        provider = FixtureProvider(tmp_path)
+        graph = InteractionGraph(ETH)
+        for height in range(2):
+            for record in provider.block_transactions(height):
+                assert record == (height, height, ADDR[0], ADDR[1], 3)
+                graph.add_transfer(*record[2:])
+        assert graph.node_keys() == [ADDR[0], ADDR[1]]
 
 
 class TestRetry:
@@ -420,44 +477,51 @@ class TestChunkCodec:
     def test_filename(self):
         assert chunk_filename(0, 99) == "chunk_0_99.ndjson"
 
-    def test_encode_is_compact_and_ordered(self):
-        tx = Transaction(canonicalize_address(ADDR[0], ETH),
-                         canonicalize_address(ADDR[1], ETH), 5, 3, 300)
-        assert encode_transaction(tx) == (
-            f'{{"h":3,"t":300,"s":"{ADDR[0]}","r":"{ADDR[1]}","v":5}}\n')
+    def test_write_chunk_is_compact_and_ordered(self, tmp_path):
+        path = tmp_path / chunk_filename(0, 3)
+        assert write_chunk(path, [(3, 300, ADDR[0], ADDR[1], 5),
+                                  (3, 301, None, ADDR[2], 50)]) == 2
+        assert path.read_bytes() == (
+            f'{{"h":3,"t":300,"s":"{ADDR[0]}","r":"{ADDR[1]}","v":5}}\n'
+            f'{{"h":3,"t":301,"s":null,"r":"{ADDR[2]}","v":50}}\n').encode()
 
-    def test_senderless_round_trip(self):
-        tx = Transaction(None, canonicalize_address(ADDR[2], ETH), 50, 0, 10)
-        line = encode_transaction(tx)
-        assert '"s":null' in line
-        assert decode_transaction(line, ETH) == tx
+    def test_random_round_trips(self, tmp_path):
+        txs = oracles.random_transactions(random.Random(15), count=50)
+        write_chunk(tmp_path / chunk_filename(0, 9), map(record_of, txs))
+        assert list(iter_chunk_transactions(tmp_path, ETH)) == txs
 
-    def test_random_round_trips(self):
-        rng = random.Random(15)
-        for tx in oracles.random_transactions(rng, count=50):
-            assert decode_transaction(encode_transaction(tx), ETH) == tx
-
-    def test_encode_matches_json_dumps(self):
+    @pytest.mark.parametrize("chain", [ETH, Chain.BITCOIN])
+    def test_write_chunk_matches_json_dumps_and_reads_back(self, tmp_path, chain):
         rng = random.Random(23)
         alphabet = ("1aZ9", '"', "\\", "/", "\u00e9", "\u20ac", "\U0001f600",
-                    "\x00", "\x1f", "\x7f", "\n", "\t", "\ud800")
-        for _ in range(2000):
-            chain = rng.choice(list(Chain))
-            if chain is ETH:
-                keys = [canonicalize_address(oracles.random_address(rng), ETH)
-                        for _ in range(2)]
+                    "\x00", "\x7f", "\b", "\f")
+        raws, keys = [], []
+        while len(keys) < 200:
+            if chain is ETH or rng.random() < 0.5:
+                raw = oracles.random_raw_address(rng, chain)
             else:
-                keys = ["".join(
-                    rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
-                    for _ in range(2)]
-            sender = None if rng.random() < 0.2 else keys[0]
-            big = rng.choice([0, 1, 2**53, 2**64 - 1, 2**64, 10**30, 2**200])
-            tx = Transaction(sender, keys[1], rng.randrange(big + 1),
-                             rng.randrange(big + 1), rng.randrange(big + 1))
-            record = {"h": tx.block_height, "t": tx.timestamp,
-                      "s": sender, "r": tx.recipient, "v": tx.amount}
-            assert encode_transaction(tx) == json.dumps(
-                record, separators=(",", ":")) + "\n"
+                raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            try:
+                keys.append(canonicalize_address(raw, chain))
+            except ValueError:
+                continue
+            raws.append(raw)
+        assert any(raw != key for raw, key in zip(raws, keys))
+        if chain is Chain.BITCOIN:
+            assert any(not key.isascii() for key in keys)
+            assert any(set(key) & set('"\\\x00\x7f\b\f') for key in keys)
+        records = []
+        for index in range(2000):
+            sender = None if rng.random() < 0.2 else rng.choice(keys)
+            amount = rng.randrange(rng.choice([1, 2, 2**53, 2**64 + 1, 10**78 + 1]))
+            records.append((index // 50, rng.randrange(-2**40, 2**40), sender,
+                            rng.choice(keys), amount))
+        records.append((40, 0, rng.choice(keys), rng.choice(keys), 10**78))
+        path = tmp_path / chunk_filename(0, 40)
+        assert write_chunk(path, iter(records)) == len(records)
+        assert path.read_bytes() == "".join(
+            line_of(*record) for record in records).encode("ascii")
+        assert list(_records([path], chain)) == records
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_decode_rejects_malformed_lines(self, line):
@@ -533,8 +597,7 @@ class TestFoldChunks:
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_rejects_malformed_lines_like_decode(self, tmp_path, line):
-        good = encode_transaction(
-            Transaction(None, canonicalize_address(ADDR[1], ETH), 5, 1, 100))
+        good = line_of(1, 100, None, ADDR[1], 5)
         path = tmp_path / chunk_filename(0, 9)
         path.write_text(good + "\n" + good + line + "\n")
         with pytest.raises(ParseError) as decoded:
@@ -549,8 +612,7 @@ class TestFoldChunks:
     def test_deeply_nested_line_is_a_parse_error(self, tmp_path):
         # json raises RecursionError here, which is no ValueError
         line = "[" * 100_000
-        good = encode_transaction(
-            Transaction(None, canonicalize_address(ADDR[1], ETH), 5, 1, 100))
+        good = line_of(1, 100, None, ADDR[1], 5)
         path = tmp_path / chunk_filename(0, 9)
         path.write_text(good + line + "\n")
         with pytest.raises(ParseError, match="maximum recursion depth") as decoded:
@@ -563,10 +625,8 @@ class TestFoldChunks:
             assert (folded.value.path, folded.value.line) == (path, 2)
 
     def test_record_outside_its_file_span_is_rejected(self, tmp_path):
-        recipient = canonicalize_address(ADDR[1], ETH)
         path = tmp_path / chunk_filename(0, 2)
-        path.write_text("".join(
-            encode_transaction(Transaction(None, recipient, 5, h, 0)) for h in (2, 3)))
+        path.write_text("".join(line_of(h, 0, None, ADDR[1], 5) for h in (2, 3)))
         with pytest.raises(ParseError, match=r"height 3 is outside the file's "
                                              r"span 0\.\.2") as info:
             fold_chunks(tmp_path, ETH)
@@ -595,8 +655,7 @@ class TestFoldChunks:
                             + ([first - 1] if first else []))
         lines = path.read_text().splitlines(keepends=True)
         index = rng.randint(0, len(lines))
-        stray = Transaction(None, ADDR[1], 5, height, 0)
-        lines.insert(index, encode_transaction(stray))
+        lines.insert(index, line_of(height, 0, None, ADDR[1], 5))
         path.write_text("".join(lines))
         errors = []
         for read in (lambda: fold_chunks(chunk_dir, ETH),
@@ -679,7 +738,7 @@ def chunk_line(h="1", t="2", s="null", r=f'"{ADDR[1]}"', v="5"):
     return f'{{"h":{h},"t":{t},"s":{s},"r":{r},"v":{v}}}'
 
 
-# Lines just inside or just outside the shape encode_transaction writes.
+# Lines just inside or just outside the shape write_chunk writes.
 # Each must read as json.loads reads it, whichever path takes it.
 NEAR_MISS_LINES = [
     (ETH, chunk_line(h="01")),
@@ -790,7 +849,7 @@ def assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys):
 
 def compact(chunk_dir):
     """Rewrite every line of ``chunk_dir`` with compact separators, as
-    ``encode_transaction`` writes it, keeping its keys as they are."""
+    ``write_chunk`` writes it, keeping its keys as they are."""
     for path in list_chunk_files(chunk_dir):
         path.write_text("".join(
             json.dumps(json.loads(line), separators=(",", ":")) + "\n"
@@ -806,7 +865,7 @@ class TestWrittenLineFastPath:
         txs = raw_chunk_dir(tmp_path / "raw", random.Random(seed), chain)
         chunk_dir = tmp_path / "chunks"
         chunk_dir.mkdir()
-        write_chunk(chunk_dir / chunk_filename(0, 200), txs)
+        write_chunk(chunk_dir / chunk_filename(0, 200), map(record_of, txs))
 
         def refuse(line, *args):
             raise AssertionError(f"parsed as JSON: {line!r}")
@@ -833,7 +892,7 @@ class TestWrittenLineFastPath:
                              value.replace(ADDR[0], "A").replace(ADDR[1], "B")[:60])
     def test_near_miss_lines_read_like_decode(self, tmp_path, capsys, chain, line):
         key = ADDR[1] if chain is ETH else SATOSHI
-        good = encode_transaction(Transaction(None, key, 5, 1, 100))
+        good = line_of(1, 100, None, key, 5)
         chunk_dir = tmp_path / "chunks"
         chunk_dir.mkdir()
         (chunk_dir / chunk_filename(0, 9)).write_text(
@@ -846,7 +905,7 @@ class TestWrittenLineFastPath:
         chunk_dir.mkdir()
         txs = oracles.random_transactions(random.Random(3), count=20)
         (chunk_dir / chunk_filename(0, 3)).write_bytes(ending.join(
-            encode_transaction(tx)[:-1] for tx in txs).encode())
+            line_of(*record_of(tx))[:-1] for tx in txs).encode())
         assert_readers_match_decode(chunk_dir, ETH, tmp_path, capsys)
         assert list(iter_chunk_transactions(chunk_dir, ETH)) == txs
 
@@ -1094,15 +1153,16 @@ class TestRateLimiting:
         assert bucket.acquired == 3
 
 
-class FakeResponse:
-    def __init__(self, payload, status_code=200):
-        self.payload = payload
-        self.status_code = status_code
-
-    def json(self):
-        if self.payload is None:
-            raise ValueError("no body")
-        return self.payload
+def response(payload, status_code=200, body=None):
+    """A requests Response of ``status_code`` whose body is ``payload`` as
+    JSON, ``body`` if given, or empty if ``payload`` is None."""
+    reply = requests.models.Response()
+    reply.status_code = status_code
+    reply.headers["Content-Type"] = "application/json"
+    if body is None:
+        body = "" if payload is None else json.dumps(payload)
+    reply._content = body.encode("utf-8")
+    return reply
 
 
 class TestEthereumRpcProvider:
@@ -1116,13 +1176,13 @@ class TestEthereumRpcProvider:
                                    session=FakeSession())
 
     def test_url_includes_api_key(self):
-        provider = self.provider(lambda url, body: FakeResponse({"result": "0x0"}))
+        provider = self.provider(lambda url, body: response({"result": "0x0"}))
         assert provider.url == "https://rpc.example/v3/KEY"
 
     def test_latest_height(self):
         def script(url, body):
             assert body["method"] == "eth_blockNumber"
-            return FakeResponse({"jsonrpc": "2.0", "id": body["id"],
+            return response({"jsonrpc": "2.0", "id": body["id"],
                                  "result": "0x10"})
 
         assert self.provider(script).latest_height() == 16
@@ -1140,25 +1200,21 @@ class TestEthereumRpcProvider:
         def script(url, body):
             assert body["method"] == "eth_getBlockByNumber"
             assert body["params"] == ["0x7", True]
-            return FakeResponse({"result": block})
+            return response({"result": block})
 
-        txs = self.provider(script).block_transactions(7)
-        assert len(txs) == 1
-        assert txs[0].sender == ADDR[0]
-        assert txs[0].amount == 10
-        assert txs[0].timestamp == 100
-        assert txs[0].block_height == 7
+        records = self.provider(script).block_transactions(7)
+        assert records == [(7, 100, ADDR[0], ADDR[1], 10)]
 
     def test_rpc_error_is_transient(self):
         provider = self.provider(
-            lambda url, body: FakeResponse({"error": {"code": -32005,
+            lambda url, body: response({"error": {"code": -32005,
                                                       "message": "rate limited"}}))
         with pytest.raises(ProviderError) as info:
             provider.latest_height()
         assert not info.value.permanent
 
     def test_http_error_is_transient(self):
-        provider = self.provider(lambda url, body: FakeResponse(None, 503))
+        provider = self.provider(lambda url, body: response(None, 503))
         with pytest.raises(ProviderError) as info:
             provider.latest_height()
         assert not info.value.permanent
@@ -1187,7 +1243,7 @@ class TestEthereumRpcProvider:
         assert info.value.__cause__ is None
 
     def test_bad_hex_is_permanent(self):
-        provider = self.provider(lambda url, body: FakeResponse({"result": "zz"}))
+        provider = self.provider(lambda url, body: response({"result": "zz"}))
         with pytest.raises(ProviderError) as info:
             provider.latest_height()
         assert info.value.permanent
@@ -1204,8 +1260,8 @@ class TestBitcoinApiProvider:
             def get(self, url, timeout=None):
                 for suffix, payload in routes.items():
                     if url.endswith(suffix):
-                        return FakeResponse(payload)
-                return FakeResponse(None, 404)
+                        return response(payload)
+                return response(None, 404)
 
         return BitcoinApiProvider(session=FakeSession())
 
@@ -1230,25 +1286,21 @@ class TestBitcoinApiProvider:
         }
         routes = {"/block-height/3?format=json": {"blocks": [
             {"main_chain": True, "time": 500, "tx": [tx]}]}}
-        txs = self.provider(routes).block_transactions(3)
-        triples = [(t.sender, t.recipient, t.amount) for t in txs]
+        records = self.provider(routes).block_transactions(3)
         # 7 splits 4 + 3 across the two inputs; the addressless output is skipped
-        assert triples == [
-            (BTC_IN[0], BTC_OUT[0], 4),
-            (BTC_IN[1], BTC_OUT[0], 3),
-            (BTC_IN[0], BTC_OUT[1], 2),
-            (BTC_IN[1], BTC_OUT[1], 2),
+        assert records == [
+            (3, 500, BTC_IN[0], BTC_OUT[0], 4),
+            (3, 500, BTC_IN[1], BTC_OUT[0], 3),
+            (3, 500, BTC_IN[0], BTC_OUT[1], 2),
+            (3, 500, BTC_IN[1], BTC_OUT[1], 2),
         ]
-        assert all(t.timestamp == 500 and t.block_height == 3 for t in txs)
 
     def test_coinbase_becomes_senderless(self):
         tx = {"inputs": [{}], "out": [{"addr": BTC_OUT[0], "value": 50}]}
         routes = {"/block-height/0?format=json": {"blocks": [
             {"main_chain": True, "time": 100, "tx": [tx]}]}}
-        txs = self.provider(routes).block_transactions(0)
-        assert len(txs) == 1
-        assert txs[0].sender is None
-        assert txs[0].amount == 50
+        records = self.provider(routes).block_transactions(0)
+        assert records == [(0, 100, None, BTC_OUT[0], 50)]
 
     @pytest.mark.parametrize("value", [1.5, True, "7"])
     @pytest.mark.parametrize("inputs", [[], [{"prev_out": {"addr": BTC_IN[0]}}],
@@ -1266,3 +1318,24 @@ class TestBitcoinApiProvider:
         with pytest.raises(ProviderError) as info:
             provider.block_header(9)
         assert info.value.permanent
+
+
+@pytest.mark.parametrize("body", ["[" * 100_000, '{"result": NaN, "height": NaN}'],
+                         ids=["deeply-nested", "nan"])
+@pytest.mark.parametrize("chain", [ETH, BTC])
+def test_body_that_is_not_strict_json_is_a_transient_error(chain, body):
+    class Session:
+        def get(self, url, json=None, timeout=None):
+            return response(None, body=body)
+
+        post = get
+
+    if chain is ETH:
+        provider = EthereumRpcProvider("https://rpc.example/v3", session=Session())
+        message = "eth_blockNumber returned non-JSON body"
+    else:
+        provider = BitcoinApiProvider(session=Session())
+        message = "GET /latestblock returned non-JSON body"
+    with pytest.raises(ProviderError, match=f"^{message}$") as info:
+        provider.latest_height()
+    assert not info.value.permanent

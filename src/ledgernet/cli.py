@@ -336,12 +336,13 @@ def cmd_download(args) -> int:
     out_dir = Path(args.output_dir)
     chunk_dir = out_dir / "chunks"
     checkpoint_path = out_dir / "checkpoint.json"
-    if args.force and checkpoint_path.exists():
-        checkpoint_path.unlink()
-        if chunk_dir.is_dir():
-            for chunk in list_chunk_files(chunk_dir):
+    if args.force:
+        stale = list_chunk_files(chunk_dir) if chunk_dir.is_dir() else []
+        if checkpoint_path.exists() or stale:
+            checkpoint_path.unlink(missing_ok=True)
+            for chunk in stale:
                 chunk.unlink()
-        print("discarded previous checkpoint and chunk files")
+            print("discarded previous checkpoint and chunk files")
     if checkpoint_path.exists():
         checkpoint = Checkpoint.load(checkpoint_path)
     else:

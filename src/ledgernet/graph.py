@@ -70,17 +70,33 @@ def canonicalize_address(raw: str, chain: Chain | str) -> str:
 Record = tuple[int, int, str | None, str, int]
 
 
-def transfer_record(height, timestamp, sender, recipient, amount) -> Record:
-    """The record of one transfer; fields that make no valid ``Transaction``
-    raise ValueError."""
-    if not (type(amount) is type(height) is type(timestamp) is int):
-        raise ValueError("amount, block height and timestamp must be integers, "
-                         f"got {amount!r}, {height!r}, {timestamp!r}")
-    if amount < 0:
-        raise ValueError(f"negative amount: {amount}")
-    if height < 0:
-        raise ValueError(f"negative block height: {height}")
-    return height, timestamp, sender, recipient, amount
+def _check_numbers(height, timestamp, amount) -> None:
+    """Raise ValueError, naming the first fault, unless amount, block height
+    and timestamp are exact ``int``s and amount and height are not negative."""
+    if (type(amount) is type(height) is type(timestamp) is int
+            and amount >= 0 and height >= 0):
+        return
+    for label, value in (("block height", height), ("timestamp", timestamp),
+                         ("amount", amount)):
+        if type(value) is not int:
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+    raise ValueError(f"negative amount: {amount}" if amount < 0
+                     else f"negative block height: {height}")
+
+
+def transfer_record(chain: Chain | str, height, timestamp, sender, recipient,
+                    amount) -> Record:
+    """The record of one transfer on ``chain``, keys canonicalized: the one
+    definition of a valid transfer, for provider records and chunk lines
+    alike.  Each fault raises ValueError with one message."""
+    _check_numbers(height, timestamp, amount)
+    if sender is not None:
+        if not isinstance(sender, str):
+            raise ValueError(f"sender must be a string or null, got {sender!r}")
+        sender = canonicalize_address(sender, chain)
+    if not isinstance(recipient, str):
+        raise ValueError(f"recipient must be a string, got {recipient!r}")
+    return height, timestamp, sender, canonicalize_address(recipient, chain), amount
 
 
 @dataclass(frozen=True)
@@ -90,7 +106,7 @@ class Transaction:
     ``sender`` and ``recipient`` are canonical keys; ``sender`` is None for
     block rewards and other transactions without a sending account.  Amounts
     are integers in the chain's base unit (wei / satoshi); amount, height and
-    timestamp must be exact ``int``s.
+    timestamp must be exact ``int``s (keys are not checked: there is no chain).
     """
 
     sender: str | None
@@ -100,8 +116,7 @@ class Transaction:
     timestamp: int
 
     def __post_init__(self):
-        transfer_record(self.block_height, self.timestamp, self.sender,
-                        self.recipient, self.amount)
+        _check_numbers(self.block_height, self.timestamp, self.amount)
 
 
 @dataclass(slots=True)

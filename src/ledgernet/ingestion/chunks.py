@@ -26,14 +26,7 @@ from typing import Iterable, Iterator
 
 from ..errors import CheckpointError, ParseError
 from ..formats import parse_json
-from ..graph import (
-    Chain,
-    InteractionGraph,
-    Record,
-    Transaction,
-    canonicalize_address,
-    transfer_record,
-)
+from ..graph import Chain, InteractionGraph, Record, Transaction, transfer_record
 from .checkpoint import Checkpoint
 
 _CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
@@ -63,31 +56,17 @@ def parse_chunk_filename(name: str) -> tuple[int, int] | None:
 
 def _decode_record(line: str, chain: Chain | str, path,
                    line_no: int | None) -> Record:
-    """The fields of one valid chunk line, in ``_FIELDS`` order, with
-    canonical address keys; a fault raises ParseError."""
+    """The record of one chunk line: its fields, in ``_FIELDS`` order, through
+    ``graph.transfer_record``; a fault raises ParseError."""
     try:
         record = parse_json(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path, line=line_no) from exc
-    try:
         if not isinstance(record, dict) or record.keys() != _FIELD_SET:
             raise ValueError(
                 f"transaction record must have exactly the fields {_FIELDS}")
-        height, timestamp, sender, recipient, amount = (
-            record["h"], record["t"], record["s"], record["r"], record["v"])
-        for label, value in (("h", height), ("t", timestamp), ("v", amount)):
-            if type(value) is not int:
-                raise ValueError(f"field {label!r} must be an integer, got {value!r}")
-        if sender is not None and not isinstance(sender, str):
-            raise ValueError(f"field 's' must be a string or null, got {sender!r}")
-        if not isinstance(recipient, str):
-            raise ValueError(f"field 'r' must be a string, got {recipient!r}")
-        if sender is not None:
-            sender = canonicalize_address(sender, chain)
-        return transfer_record(height, timestamp, sender,
-                               canonicalize_address(recipient, chain), amount)
+        return transfer_record(chain, record["h"], record["t"], record["s"],
+                               record["r"], record["v"])
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, path=path, line=line_no, offset=exc.colno) from exc
     except ValueError as exc:
         raise ParseError(str(exc), path=path, line=line_no) from exc
 

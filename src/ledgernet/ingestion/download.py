@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from ..errors import EmptyRangeError, ProviderError
-from ..graph import Chain, Record
+from ..graph import Chain, Record, transfer_record
 from .checkpoint import Checkpoint
 from .chunks import chunk_filename, write_chunk
 from .providers import BlockProvider
@@ -129,13 +129,22 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
                              task: DownloadTask | None = None,
                              sleep=time.sleep,
                              rng: random.Random | None = None) -> list[Record]:
-    """One block's transfer records (as ``BlockProvider.block_transactions``
-    returns them, unchecked), retried until satisfied (or capped)."""
+    """One block's transfer records, retried until satisfied (or capped).
+
+    Every record ``provider.block_transactions`` returns goes through
+    ``graph.transfer_record``, which checks it and canonicalizes its keys; a
+    record that is no valid transfer raises a permanent ProviderError.
+    """
     records, attempts = call_with_retry(
         lambda: provider.block_transactions(height), policy, sleep=sleep, rng=rng)
     if task is not None:
         task.attempt_count += attempts
-    return records
+    chain = provider.chain
+    try:
+        return [transfer_record(chain, h, t, s, r, v) for h, t, s, r, v in records]
+    except (TypeError, ValueError) as exc:
+        raise ProviderError(f"block {height} has a malformed transfer: {exc}",
+                            permanent=True) from exc
 
 
 def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,

@@ -1,11 +1,11 @@
 """Block data sources.
 
 Every source implements the same three calls: chain tip height, block header
-timestamp, and the block's transfers as chunk records with canonical keys
-(``graph.Record``).  The downloader and the block-range resolver only ever
-see this interface, so the whole pipeline runs identically against a local
-fixture directory, an Ethereum JSON-RPC endpoint, or a blockchain.info-style
-REST API.
+timestamp, and the block's transfers as ``(height, timestamp, sender,
+recipient, amount)`` tuples, keys as the chain spells them.  The downloader
+and the block-range resolver only ever see this interface, so the whole
+pipeline runs identically against a local fixture directory, an Ethereum
+JSON-RPC endpoint, or a blockchain.info-style REST API.
 
 Blocks are immutable, so a provider must return the same data for the same
 height on every call.  Transient failures (network, rate limits, 5xx) raise
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ProviderError
 from ..formats import parse_json, read_json
-from ..graph import Chain, Record, canonicalize_address, transfer_record
+from ..graph import Chain
 
 if TYPE_CHECKING:
     import requests
@@ -53,10 +53,12 @@ class BlockProvider(ABC):
         """Unix timestamp of the block at ``height``."""
 
     @abstractmethod
-    def block_transactions(self, height: int) -> list[Record]:
-        """Records of all transfers in the block at ``height``, in block order,
-        each made by ``graph.transfer_record`` with canonical keys: nothing
-        after the provider checks them again."""
+    def block_transactions(self, height: int) -> list[tuple]:
+        """All transfers in the block at ``height``, in block order, each as
+        ``(height, timestamp, sender or None, recipient, amount)`` with keys
+        as the chain spells them.  ``download.fetch_block_transactions``
+        checks each one through ``graph.transfer_record``, which also
+        canonicalizes its keys."""
 
 
 def fixture_block_name(height: int) -> str:
@@ -128,32 +130,23 @@ class FixtureProvider(BlockProvider):
                 f"fixture block file {path.name} claims height {doc.get('height')}",
                 permanent=True)
         if type(doc.get("timestamp")) is not int:
-            # the wording Transaction uses for a non-integer field
-            raise ProviderError(f"fixture block {height} malformed: amount, block "
-                                f"height and timestamp must be integers, got "
-                                f"timestamp {doc.get('timestamp')!r}", permanent=True)
+            raise ProviderError(f"fixture block {height} malformed: timestamp "
+                                f"{doc.get('timestamp')!r} is not an integer",
+                                permanent=True)
         return doc
 
     def block_header(self, height: int) -> int:
         return self._read_block(height)["timestamp"]
 
-    def block_transactions(self, height: int) -> list[Record]:
+    def block_transactions(self, height: int) -> list[tuple]:
         doc = self._read_block(height)
         timestamp = doc["timestamp"]
-        chain = self.chain
-        records = []
         try:
-            for entry in doc["transactions"]:
-                sender = entry["sender"]
-                records.append(transfer_record(
-                    height, timestamp,
-                    None if sender is None else canonicalize_address(sender, chain),
-                    canonicalize_address(entry["recipient"], chain),
-                    entry["amount"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return [(height, timestamp, entry["sender"], entry["recipient"],
+                     entry["amount"]) for entry in doc["transactions"]]
+        except (KeyError, TypeError) as exc:
             raise ProviderError(f"fixture block {height} malformed: {exc}",
                                 permanent=True) from exc
-        return records
 
 
 def write_fixture_block(root, height: int, timestamp: int,
@@ -245,7 +238,7 @@ class EthereumRpcProvider(BlockProvider):
         return self._hex_int(self._block(height, False).get("timestamp"),
                              f"block {height} timestamp")
 
-    def block_transactions(self, height: int) -> list[Record]:
+    def block_transactions(self, height: int) -> list[tuple]:
         block = self._block(height, True)
         timestamp = self._hex_int(block.get("timestamp"),
                                   f"block {height} timestamp")
@@ -254,15 +247,11 @@ class EthereumRpcProvider(BlockProvider):
             recipient = entry.get("to")
             if recipient is None:
                 continue
-            try:
-                records.append(transfer_record(
-                    height, timestamp,
-                    canonicalize_address(entry["from"], self.chain),
-                    canonicalize_address(recipient, self.chain),
-                    self._hex_int(entry.get("value"), "tx value")))
-            except (KeyError, ValueError) as exc:
-                raise ProviderError(f"block {height} has a malformed tx: {exc}",
-                                    permanent=True) from exc
+            if entry.get("from") is None:  # not a senderless transfer
+                raise ProviderError(f"block {height} has a malformed tx: 'from' "
+                                    "is missing or null", permanent=True)
+            records.append((height, timestamp, entry["from"], recipient,
+                            self._hex_int(entry.get("value"), "tx value")))
         return records
 
     @staticmethod
@@ -331,7 +320,7 @@ class BitcoinApiProvider(BlockProvider):
                                 permanent=True)
         return timestamp
 
-    def block_transactions(self, height: int) -> list[Record]:
+    def block_transactions(self, height: int) -> list[tuple]:
         block = self._block(height)
         timestamp = block.get("time")
         if type(timestamp) is not int:
@@ -346,30 +335,27 @@ class BitcoinApiProvider(BlockProvider):
                                 permanent=True) from exc
         return records
 
-    def _expand(self, entry: dict, height: int, timestamp: int) -> list[Record]:
+    def _expand(self, entry: dict, height: int, timestamp: int) -> list[tuple]:
         senders = []
         for tx_in in entry.get("inputs", []):
             addr = (tx_in.get("prev_out") or {}).get("addr")
             if addr:
-                senders.append(canonicalize_address(addr, self.chain))
+                senders.append(addr)
         expanded = []
         for tx_out in entry.get("out", []):
-            addr = tx_out.get("addr")
-            if not addr:
+            recipient = tx_out.get("addr")
+            if not recipient:
                 continue
-            recipient = canonicalize_address(addr, self.chain)
             value = tx_out.get("value", 0)
             if type(value) is not int:  # divmod would turn True into ints
-                raise ValueError(f"output value must be an integer, got {value!r}")
+                raise ValueError(f"amount must be an integer, got {value!r}")
             if not senders:
-                expanded.append(transfer_record(height, timestamp, None,
-                                                recipient, value))
+                expanded.append((height, timestamp, None, recipient, value))
                 continue
             share, extra = divmod(value, len(senders))
             for index, sender in enumerate(senders):
-                expanded.append(transfer_record(
-                    height, timestamp, sender, recipient,
-                    share + (1 if index < extra else 0)))
+                expanded.append((height, timestamp, sender, recipient,
+                                 share + (1 if index < extra else 0)))
         return expanded
 
 
@@ -418,6 +404,6 @@ class ThrottledProvider(BlockProvider):
         self.bucket.acquire()
         return self.provider.block_header(height)
 
-    def block_transactions(self, height: int) -> list[Record]:
+    def block_transactions(self, height: int) -> list[tuple]:
         self.bucket.acquire()
         return self.provider.block_transactions(height)

@@ -160,8 +160,8 @@ class TestDownload:
         out = tmp_path / "out"
         assert download(fixture_dir, out, "--workers", 1) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: fixture block 4 malformed: amount, block "
-                              "height and timestamp must be integers, got ")
+        assert err.startswith("error: block 4 has a malformed transfer: "
+                              "amount must be an integer, got ")
         assert err.count("\n") == 1
         checkpoint = read_json(out / "checkpoint.json")
         assert 3 not in checkpoint["done"]
@@ -173,7 +173,7 @@ class TestDownload:
     @pytest.mark.parametrize("body, problem", [
         ("[]", "not a JSON object"),
         ('{{"height": {height}, "transactions": []}}',
-         "amount, block height and timestamp must be integers, got timestamp None"),
+         "timestamp None is not an integer"),
     ], ids=["list", "no-timestamp"])
     def test_malformed_fixture_block_exits_2_with_one_line(
             self, fixture_dir, tmp_path, capsys, selector, body, problem):
@@ -223,6 +223,17 @@ class TestDownload:
         assert download(fixture_dir, out, "--force") == 0
         assert "discarded previous checkpoint" in capsys.readouterr().out
         assert chunk_bytes(out) == pristine
+
+    def test_force_discards_chunk_files_without_a_checkpoint(self, fixture_dir,
+                                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--chunk-size", 2) == 0
+        (out / "checkpoint.json").unlink()
+        assert download(fixture_dir, out, "--force") == 0
+        assert "discarded previous checkpoint" in capsys.readouterr().out
+        assert download(fixture_dir, tmp_path / "fresh") == 0
+        assert chunk_bytes(out) == chunk_bytes(tmp_path / "fresh")
+        assert run_cli("build", "--output-dir", out) == 0
 
     def test_time_interval_selector(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -468,7 +479,7 @@ class TestDownload:
                        "--from-block", 0, "--to-block", 0,
                        "--output-dir", out) == 2
         assert capsys.readouterr().err == (
-            "error: fixture block 0 malformed: "
+            "error: block 0 has a malformed transfer: "
             "malformed bitcoin address: 'a\\ud800'\n")
         assert list_chunk_files(out / "chunks") == []
 

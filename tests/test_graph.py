@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -137,7 +138,9 @@ class TestTransaction:
     @pytest.mark.parametrize("field", ["amount", "height", "timestamp"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "7", None])
     def test_rejects_fields_that_are_not_ints(self, field, value):
-        with pytest.raises(ValueError, match="must be integers"):
+        label = "block height" if field == "height" else field
+        with pytest.raises(ValueError, match=f"^{label} must be an integer, "
+                                             f"got {re.escape(repr(value))}$"):
             tx(A, B, **{field: value})
 
     def test_rejects_negative_amount(self):

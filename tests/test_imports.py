@@ -1,10 +1,13 @@
 """What importing ledgernet loads, which modules may start process or
-thread pools, and which may parse or serialise JSON.
+thread pools, which may parse or serialise JSON, and which may check a
+transfer.
 
 Analysis is pure-Python graph walking, which the GIL serialises, so a pool
 there only costs time.  Downloads wait on the network, so their threads pay.
 JSON goes through ``formats``, so every input, network replies too, is read
-as strict JSON and every output replaced atomically in one place.
+as strict JSON and every output replaced atomically in one place.  A
+transfer is checked and its keys canonicalized by ``graph.transfer_record``,
+called only where provider records and chunk lines enter.
 """
 
 import ast
@@ -22,6 +25,7 @@ from ledgernet import cli
 PACKAGE = Path(cli.__file__).parent
 POOL_MODULES = ("concurrent", "multiprocessing")
 JSON_FUNCTIONS = ("load", "loads", "dump", "dumps")
+TRANSFER_RULES = ("canonicalize_address", "transfer_record")
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -72,6 +76,40 @@ def test_only_formats_parses_json_and_fixture_writers_serialise_it_too():
     assert serialisers == {"formats.py",
                            "ingestion/providers.py:write_fixture_block",
                            "ingestion/providers.py:write_fixture_meta"}
+
+
+def transfer_rule_uses(path: Path) -> set[str]:
+    """``<owner>:<name>`` for each use of a name in TRANSFER_RULES in ``path``
+    (a call, a reference or a from-import); the owner is the top-level def
+    or class around it."""
+    uses = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            uses.update(f"{owner}:{name}" for name in names if name in TRANSFER_RULES)
+    return uses
+
+
+def test_only_graph_canonicalizes_and_two_readers_check_transfers():
+    # a provider returns raw records and fetch_block_transactions checks
+    # them, so no copy of the rules for a valid transfer can drift
+    uses = {path.relative_to(PACKAGE).as_posix(): transfer_rule_uses(path)
+            for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in uses.items()
+            if found and name != "graph.py"} == {
+        "ingestion/chunks.py": {"<module>:transfer_record",
+                                "_decode_record:transfer_record"},
+        "ingestion/download.py": {"<module>:transfer_record",
+                                  "fetch_block_transactions:transfer_record"},
+    }
 
 
 def test_no_json_method_call_bypasses_formats():

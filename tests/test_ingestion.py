@@ -114,7 +114,7 @@ class TestFixtureProvider:
              "recipient": ADDR[1], "amount": 5},
             {"sender": None, "recipient": ADDR[2], "amount": 9},
         ])
-        records = FixtureProvider(tmp_path).block_transactions(0)
+        records = fetch_block_transactions(FixtureProvider(tmp_path), 0)
         assert records == [(0, 1234, ADDR[0], ADDR[1], 5),
                            (0, 1234, None, ADDR[2], 9)]
 
@@ -125,10 +125,13 @@ class TestFixtureProvider:
         write_fixture_meta(tmp_path, "ethereum")
         write_fixture_block(tmp_path, 0, timestamp, [
             {"sender": ADDR[0], "recipient": ADDR[1], "amount": amount}])
-        with pytest.raises(ProviderError, match="fixture block 0 malformed: "
-                                                "amount, block height and timestamp "
-                                                "must be integers") as info:
-            FixtureProvider(tmp_path).block_transactions(0)
+        if timestamp == 0:  # the transfer check finds it
+            message = ("block 0 has a malformed transfer: "
+                       f"amount must be an integer, got {amount!r}")
+        else:  # the fixture's header check finds it first
+            message = f"fixture block 0 malformed: timestamp {timestamp!r} is not an integer"
+        with pytest.raises(ProviderError, match=f"^{re.escape(message)}$") as info:
+            fetch_block_transactions(FixtureProvider(tmp_path), 0)
         assert info.value.permanent
 
     def test_missing_block_is_permanent_error(self, tmp_path):
@@ -168,15 +171,18 @@ class TestFixtureProvider:
         assert info.value.permanent
 
 
+# {field} is "sender must be a string or null" or "recipient must be a string"
 BAD_KEYS = [
     ("ethereum", "0x123", "malformed ethereum address: '0x123'"),
-    ("ethereum", 12, "empty ethereum address"),
-    ("ethereum", [ADDR[0]], "empty ethereum address"),
-    ("ethereum", {"key": ADDR[0]}, "empty ethereum address"),
+    ("ethereum", 12, "{field}, got 12"),
+    ("ethereum", [ADDR[0]], "{field}, got ['%s']" % ADDR[0]),
+    ("ethereum", {"key": ADDR[0]}, "{field}, got {{'key': '%s'}}" % ADDR[0]),
     ("ethereum", "", "empty ethereum address"),
     ("bitcoin", "a\ud800", "malformed bitcoin address: 'a\\ud800'"),
-    ("bitcoin", ["1Boat"], "empty bitcoin address"),
+    ("bitcoin", ["1Boat"], "{field}, got ['1Boat']"),
 ]
+TYPE_RULE = {"sender": "sender must be a string or null",
+             "recipient": "recipient must be a string"}
 
 
 class TestProviderKeys:
@@ -196,10 +202,11 @@ class TestProviderKeys:
         write_fixture_block(tmp_path, 1, 10, [
             {"sender": keys[1], "recipient": keys[0], "amount": 2}, bad])
         provider = FixtureProvider(tmp_path)
-        assert len(provider.block_transactions(0)) == len(keys) ** 2
+        assert len(fetch_block_transactions(provider, 0)) == len(keys) ** 2
         with pytest.raises(ProviderError) as info:
-            provider.block_transactions(1)
-        assert str(info.value) == f"fixture block 1 malformed: {problem}"
+            fetch_block_transactions(provider, 1)
+        assert str(info.value) == ("block 1 has a malformed transfer: "
+                                   + problem.format(field=TYPE_RULE[field]))
         assert info.value.permanent
 
     def test_spellings_of_one_ethereum_key_map_to_one_node(self, tmp_path):
@@ -213,7 +220,7 @@ class TestProviderKeys:
         provider = FixtureProvider(tmp_path)
         graph = InteractionGraph(ETH)
         for height in range(2):
-            for record in provider.block_transactions(height):
+            for record in fetch_block_transactions(provider, height):
                 assert record == (height, height, ADDR[0], ADDR[1], 3)
                 graph.add_transfer(*record[2:])
         assert graph.node_keys() == [ADDR[0], ADDR[1]]
@@ -1106,6 +1113,119 @@ class TestRunDownload:
                          worker_count=0)
 
 
+class ScriptedProvider:
+    """Serves ``records_at[height]`` as a block's records, as they are;
+    other blocks hold one valid transfer."""
+
+    def __init__(self, chain, records_at):
+        self.chain = chain
+        self.records_at = records_at
+
+    def block_transactions(self, height):
+        return self.records_at.get(height, [(height, height, None, ADDR[0], 1)])
+
+
+# Raw keys: canonical, in other spellings, malformed, lone surrogates
+RAW_KEYS = {
+    ETH: [ADDR[0], ADDR[0].upper(), ADDR[0][:2] + ADDR[0][2:].upper(), ADDR[0][2:],
+          f" {ADDR[0]}\t", "0x123", "0X" + "Z" * 40, "", " "],
+    BTC: ["1Boat", " 1Boat\n", "1Bo\u00e9t", '1Bo"at', "1 Boat", "a\ud800",
+          "\udfff", "", "\t"],
+}
+OTHER_VALUES = [0, 7, -1, 2**64, 1.5, 2.0, True, False, None, "7", [1], {"a": 1}]
+
+
+def transfer_cases(chain):
+    """Field dicts of one transfer, each with one field replaced."""
+    keys = RAW_KEYS[chain] + OTHER_VALUES
+    base = {"h": 3, "t": 300, "s": RAW_KEYS[chain][0], "r": RAW_KEYS[chain][1],
+            "v": 5}
+    for field, values in (("h", OTHER_VALUES), ("t", OTHER_VALUES), ("s", keys),
+                          ("r", keys), ("v", OTHER_VALUES)):
+        for value in values:
+            yield {**base, field: value}
+
+
+def provider_outcome(fields, chain):
+    """The record ``fetch_block_transactions`` makes of ``fields``, or the
+    reason it gives for refusing them."""
+    provider = ScriptedProvider(chain, {3: [tuple(fields[f] for f in "htsrv")]})
+    try:
+        [record] = fetch_block_transactions(provider, 3)
+    except ProviderError as exc:
+        assert exc.permanent
+        prefix, reason = str(exc).split(": ", 1)
+        assert prefix == "block 3 has a malformed transfer"
+        return reason
+    return record
+
+
+def chunk_line_outcome(fields, chain):
+    """The record the JSON path reads from ``fields`` as a chunk line, or the
+    reason it gives for refusing it."""
+    line = json.dumps(fields)  # spaces after separators: not the written shape
+    assert chunks._WRITTEN_LINE[chain](line) is None
+    try:
+        return _decode_record(line, chain, None, None)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestOneTransferCheck:
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    def test_same_fault_same_message_from_provider_and_chunk_line(self, chain):
+        cases = list(transfer_cases(chain))
+        outcomes = [(provider_outcome(fields, chain), chunk_line_outcome(fields, chain))
+                    for fields in cases]
+        assert [(fields, got) for fields, got in zip(cases, outcomes)
+                if got[0] != got[1]] == []
+        # both outcomes occur: 21 cases make a record, 57 a fault
+        assert sum(type(got) is tuple for got, _ in outcomes) == 21
+        assert len(cases) == 78
+
+    @pytest.mark.parametrize("bad", [
+        (1, 1, None, ADDR[0], True),
+        (1, 1, None, ADDR[0], 1.5),
+        (1, 1, 12, ADDR[0], 1),
+        Transaction(None, ADDR[0], 1, 1, 1),
+        (1, 1, None, ADDR[0]),
+    ], ids=["amount-True", "amount-float", "key-12", "Transaction", "4-tuple"])
+    def test_bad_record_fails_its_chunk_permanently(self, tmp_path, bad):
+        provider = ScriptedProvider(ETH, {1: [(1, 1, ADDR[1], ADDR[0], 2), bad]})
+        checkpoint = Checkpoint(ETH, 0, 2, 1)
+        with pytest.raises(ProviderError,
+                           match="^block 1 has a malformed transfer: ") as info:
+            run_download(plan_tasks(BlockRange(0, 2), 1, checkpoint), provider,
+                         checkpoint, chunk_dir=tmp_path / "chunks",
+                         checkpoint_path=tmp_path / "checkpoint.json")
+        assert info.value.permanent
+        assert "\n" not in str(info.value)
+        assert chunk_filename(1, 1) not in chunk_bytes(tmp_path)
+        assert 1 not in Checkpoint.load(tmp_path / "checkpoint.json").done
+
+    def test_raw_ethereum_keys_write_the_bytes_canonical_keys_write(self, tmp_path):
+        forms = [str, str.upper, lambda k: k[2:], lambda k: k[2:].upper(),
+                 lambda k: f" {k[:2]}{k[2:].upper()}\t"]
+        canonical = {height: [(height, 10 * height, None if i == height else ADDR[i],
+                               ADDR[(i + height + 1) % 6], i) for i in range(6)]
+                     for height in range(3)}
+        raw = {height: [(h, t, s if s is None else forms[i % 5](s),
+                         forms[(i + 2) % 5](r), v)
+                        for i, (h, t, s, r, v) in enumerate(records)]
+               for height, records in canonical.items()}
+        assert raw != canonical
+        written = []
+        for name, records_at in (("canonical", canonical), ("raw", raw)):
+            checkpoint = Checkpoint(ETH, 0, 2, 2)
+            run_download(plan_tasks(BlockRange(0, 2), 2, checkpoint),
+                         ScriptedProvider(ETH, records_at), checkpoint,
+                         chunk_dir=tmp_path / name / "chunks",
+                         checkpoint_path=tmp_path / name / "checkpoint.json")
+            written.append(chunk_bytes(tmp_path / name))
+        assert written[0] == written[1]
+        assert list(written[0]) == [chunk_filename(0, 1), chunk_filename(2, 2)]
+
+
 class TestRateLimiting:
     def test_token_bucket_spaces_requests(self):
         clock = [0.0]
@@ -1202,8 +1322,20 @@ class TestEthereumRpcProvider:
             assert body["params"] == ["0x7", True]
             return response({"result": block})
 
-        records = self.provider(script).block_transactions(7)
+        records = fetch_block_transactions(self.provider(script), 7)
         assert records == [(7, 100, ADDR[0], ADDR[1], 10)]
+
+    @pytest.mark.parametrize("entry", [{"to": ADDR[1], "value": "0x1"},
+                                       {"from": None, "to": ADDR[1], "value": "0x1"}],
+                             ids=["missing", "null"])
+    def test_transfer_without_from_is_permanent(self, entry):
+        # a senderless record would pass as a block reward
+        block = {"timestamp": "0x64", "transactions": [entry]}
+        provider = self.provider(lambda url, body: response({"result": block}))
+        with pytest.raises(ProviderError, match="^block 7 has a malformed tx: "
+                                                "'from' is missing or null$") as info:
+            provider.block_transactions(7)
+        assert info.value.permanent
 
     def test_rpc_error_is_transient(self):
         provider = self.provider(

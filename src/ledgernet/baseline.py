@@ -158,7 +158,7 @@ class ComparisonReport:
         }
 
 
-def compare(subject_graph: InteractionGraph, *, seed: int = 0, samples: int = 1,
+def compare(subject_graph: InteractionGraph | None, *, seed: int = 0, samples: int = 1,
             acc_threshold: float = DEFAULT_ACC_THRESHOLD,
             aspl_threshold: float = DEFAULT_ASPL_THRESHOLD,
             sample_sources: int | None = None,
@@ -167,8 +167,9 @@ def compare(subject_graph: InteractionGraph, *, seed: int = 0, samples: int = 1,
 
     ``subject``, when given, must be ``analyze(subject_graph,
     sample_sources=sample_sources, seed=seed)`` computed earlier; it is used
-    instead of analysing the subject again.  Baseline sample i uses seed + i,
-    so multi-sample runs stay reproducible from the one recorded seed.  A
+    instead of analysing the subject again, and ``subject_graph`` may be
+    None.  Baseline sample i uses seed + i, so multi-sample runs stay
+    reproducible from the one recorded seed.  A
     baseline is analysed as an ``Adjacency`` with zero activity counters,
     and its report's timings add the draw's as ``"generate"``."""
     if subject is None:

@@ -26,6 +26,7 @@ from .formats import (FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph,
 from .graph import Chain
 
 if TYPE_CHECKING:
+    from .graph import InteractionGraph
     from .metrics import MetricsReport
 
 ENV_ENDPOINT = "LEDGERNET_ENDPOINT"
@@ -200,11 +201,16 @@ def _workers(value: int | None) -> int | None:
 
 
 def _sha256(path) -> str:
-    import hashlib  # loads OpenSSL, which only analyze and compare need
+    """The SHA-256 of the graph file ``path``; one it cannot read raises
+    the ParseError ``import_graph`` would."""
+    import hashlib  # loads OpenSSL, which download and report never need
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise ParseError(f"cannot read graph file: {exc}", path=path) from exc
     return digest.hexdigest()
 
 
@@ -212,22 +218,20 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-def _read_report(path, section: str) -> tuple[dict, dict]:
-    """A report and its nested ``section`` object ({} when absent)."""
+def _read_report(path, *sections: str) -> list[dict]:
+    """A report, then each of its nested ``sections`` objects ({} when
+    absent)."""
     try:
         doc = read_json(path)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"corrupt report: {exc}", path=path) from exc
-    nested = doc.get(section, {})
-    if not isinstance(nested, dict):
-        raise ParseError(f"corrupt report: {section!r} is not a JSON object",
-                         path=path)
-    return doc, nested
-
-
-def _load_graph(args):
-    fmt = args.format or infer_format(args.graph)
-    return import_graph(args.graph, fmt), fmt
+    found = [doc]
+    for section in sections:
+        found.append(doc.get(section, {}))
+        if not isinstance(found[-1], dict):
+            raise ParseError(f"corrupt report: {section!r} is not a JSON object",
+                             path=path)
+    return found
 
 
 def _skip_existing(path, force: bool) -> bool:
@@ -251,14 +255,14 @@ def _report_path(args, name: str) -> Path | None:
     return output
 
 
-def _report_head(graph_file) -> dict:
+def _report_head(graph_file, digest: str) -> dict:
     """The keys that open an analyze or compare report."""
     return {
         "tool": "ledgernet",
         "tool_version": __version__,
         "generated_at": _now(),
         "graph_file": str(graph_file),
-        "graph_sha256": _sha256(graph_file),
+        "graph_sha256": digest,
     }
 
 
@@ -433,10 +437,26 @@ def cmd_build(args) -> int:
     if not targets:
         return 0
 
+    start = time.perf_counter()
     graph = fold_chunks(chunk_dir, chain, checkpoint)
+    timings = {"fold": time.perf_counter() - start}
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, path in targets.items():
+        start = time.perf_counter()
         export_graph(graph, path, fmt)
+        timings[f"export_{fmt}"] = time.perf_counter() - start
+    # Written only once every export succeeded, and listing only the files
+    # this run wrote: compare trusts two files it lists to hold one graph.
+    write_json(out_dir / "build_summary.json", {
+        "tool": "ledgernet",
+        "tool_version": __version__,
+        "chain": chain.value,
+        "node_count": graph.node_count,
+        "edge_count": graph.edge_count,
+        "graph_files": {fmt: {"file": str(path), "sha256": _sha256(path)}
+                        for fmt, path in targets.items()},
+        "timings_seconds": timings,
+    }, indent=2)
     written = ", ".join(str(path) for path in targets.values())
     print(f"built {chain.value} graph: {graph.node_count} nodes, "
           f"{graph.edge_count} edges -> {written}")
@@ -448,9 +468,10 @@ def cmd_analyze(args) -> int:
     output = _report_path(args, "metrics.json")
     if output is None:
         return 0
-    graph, fmt = _load_graph(args)
+    fmt = args.format or infer_format(args.graph)
+    graph = import_graph(args.graph, fmt)
     report = analyze(graph, sample_sources=args.sample_sources, seed=args.seed)
-    doc = _report_head(args.graph)
+    doc = _report_head(args.graph, _sha256(args.graph))
     doc["graph_fingerprint"] = graph_fingerprint(graph)
     doc["config"] = _echo(graph_format=fmt, seed=args.seed,
                           sample_sources=args.sample_sources)
@@ -465,27 +486,50 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _reusable_subject(args, graph) -> MetricsReport | None:
-    """The report in the ``metrics.json`` beside ``--graph``, if this version
-    of ``analyze`` wrote it for a graph with the same fingerprint, seed and
-    sample_sources; None for any other file, however broken."""
-    from .metrics import MetricsReport, graph_fingerprint
-    path = Path(args.graph).parent / "metrics.json"
+def _digest_links(graph_file, fmt: str, digest: str, doc: dict) -> bool:
+    """Whether ``graph_file``, read as ``fmt``, of SHA-256 ``digest``, is the
+    file the analyze report ``doc`` names, or the build summary beside it
+    lists both files as written by one ``build``.  A stale or broken summary
+    can only fail to link."""
     try:
-        doc = read_json(path)
-        config = doc["config"]
-        if (doc["tool_version"] != __version__
-                or config.get("seed") != args.seed
-                or config.get("sample_sources") != args.sample_sources
-                or doc["graph_fingerprint"] != graph_fingerprint(graph)):
-            return None
-        report = MetricsReport.from_json_dict(doc)
+        analysed = (doc["config"]["graph_format"], doc["graph_sha256"])
+        if analysed == (fmt, digest):
+            return True
+        summary = read_json(Path(graph_file).parent / "build_summary.json")
+        listed = {(kind, entry["sha256"])
+                  for kind, entry in summary["graph_files"].items()}
+        return {analysed, (fmt, digest)} <= listed
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    if (report.node_count, report.edge_count) != (graph.node_count,
-                                                   graph.edge_count):
-        return None
-    return report
+        return False
+
+
+def _subject(args, fmt: str, digest: str
+             ) -> tuple[InteractionGraph | None, MetricsReport | None]:
+    """``(graph, report)`` for the subject of ``compare``: ``report`` is the
+    one in the ``metrics.json`` beside ``--graph`` if this version of
+    ``analyze`` wrote it for this graph with the same seed and
+    sample_sources, else None, however broken that file is.  When the
+    digests link the two, no reader runs and ``graph`` is None; otherwise
+    the report must match the graph's fingerprint and size."""
+    from .metrics import MetricsReport, graph_fingerprint
+    try:
+        doc = read_json(Path(args.graph).parent / "metrics.json")
+        config = doc["config"]
+        report = (MetricsReport.from_json_dict(doc)
+                  if doc["tool_version"] == __version__
+                  and config.get("seed") == args.seed
+                  and config.get("sample_sources") == args.sample_sources
+                  and isinstance(doc["graph_fingerprint"], str) else None)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        report = None
+    if report is not None and _digest_links(args.graph, fmt, digest, doc):
+        return None, report
+    graph = import_graph(args.graph, fmt)
+    if (report is not None and doc["graph_fingerprint"] == graph_fingerprint(graph)
+            and (report.node_count, report.edge_count) == (graph.node_count,
+                                                           graph.edge_count)):
+        return graph, report
+    return graph, None
 
 
 def _subject_text(source) -> str:
@@ -507,14 +551,15 @@ def cmd_compare(args) -> int:
     output = _report_path(args, "comparison.json")
     if output is None:
         return 0
-    graph, fmt = _load_graph(args)
-    subject = _reusable_subject(args, graph)
+    fmt = args.format or infer_format(args.graph)
+    digest = _sha256(args.graph)
+    graph, subject = _subject(args, fmt, digest)
     comparison = compare(graph, seed=args.seed, samples=args.samples,
                          acc_threshold=acc_threshold,
                          aspl_threshold=aspl_threshold,
                          sample_sources=args.sample_sources, subject=subject)
     source = "computed" if subject is None else "metrics.json"
-    doc = _report_head(args.graph)
+    doc = _report_head(args.graph, digest)
     doc["config"] = _echo(graph_format=fmt, seed=args.seed, samples=args.samples,
                           acc_threshold=acc_threshold,
                           aspl_threshold=aspl_threshold,
@@ -553,6 +598,19 @@ def cmd_report(args) -> int:
         if path.exists():
             found = True
             print(f"graph: {path} ({path.stat().st_size} bytes)")
+
+    build_path = root / "build_summary.json"
+    if build_path.exists():
+        found = True
+        doc, files, timings = _read_report(build_path, "graph_files",
+                                           "timings_seconds")
+        if not all(isinstance(entry, dict) for entry in files.values()):
+            raise ParseError("corrupt report: a 'graph_files' entry is not "
+                             "a JSON object", path=build_path)
+        written = ", ".join(str(entry.get("file")) for entry in files.values())
+        seconds = ", ".join(f"{stage} {value}" for stage, value in timings.items())
+        print(f"build: {doc.get('node_count')} nodes, "
+              f"{doc.get('edge_count')} edges -> {written} (seconds: {seconds})")
 
     metrics_path = root / "metrics.json"
     if metrics_path.exists():

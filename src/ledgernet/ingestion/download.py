@@ -133,7 +133,8 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
 
     Every record ``provider.block_transactions`` returns goes through
     ``graph.transfer_record``, which checks it and canonicalizes its keys; a
-    record that is no valid transfer raises a permanent ProviderError.
+    record that is no valid transfer, or is for another block, raises a
+    permanent ProviderError.
     """
     records, attempts = call_with_retry(
         lambda: provider.block_transactions(height), policy, sleep=sleep, rng=rng)
@@ -141,10 +142,15 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
         task.attempt_count += attempts
     chain = provider.chain
     try:
-        return [transfer_record(chain, h, t, s, r, v) for h, t, s, r, v in records]
+        checked = [transfer_record(chain, h, t, s, r, v) for h, t, s, r, v in records]
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"block {height} has a malformed transfer: {exc}",
                             permanent=True) from exc
+    for record in checked:
+        if record[0] != height:
+            raise ProviderError(f"block {height} returned a transfer of block "
+                                f"{record[0]}", permanent=True)
+    return checked
 
 
 def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,

@@ -61,6 +61,19 @@ class BlockProvider(ABC):
         canonicalizes its keys."""
 
 
+def _objects(value, height: int) -> list[dict]:
+    """``value``, a reply's list of blocks, transactions, inputs or outputs,
+    if it is a list of JSON objects; otherwise a permanent ProviderError."""
+    if not isinstance(value, list):
+        raise ProviderError(f"block {height} has a malformed tx: expected a "
+                            f"list, got {type(value).__name__}", permanent=True)
+    for entry in value:
+        if not isinstance(entry, dict):
+            raise ProviderError(f"block {height} has a malformed tx: {entry!r} "
+                                "is not an object", permanent=True)
+    return value
+
+
 def fixture_block_name(height: int) -> str:
     return f"block_{height:08d}.json"
 
@@ -243,7 +256,7 @@ class EthereumRpcProvider(BlockProvider):
         timestamp = self._hex_int(block.get("timestamp"),
                                   f"block {height} timestamp")
         records = []
-        for entry in block.get("transactions", []):
+        for entry in _objects(block.get("transactions", []), height):
             recipient = entry.get("to")
             if recipient is None:
                 continue
@@ -308,7 +321,7 @@ class BitcoinApiProvider(BlockProvider):
         blocks = doc.get("blocks") if isinstance(doc, dict) else None
         if not blocks:
             raise ProviderError(f"no block at height {height}", permanent=True)
-        for block in blocks:
+        for block in _objects(blocks, height):
             if block.get("main_chain", True):
                 return block
         return blocks[0]
@@ -328,7 +341,7 @@ class BitcoinApiProvider(BlockProvider):
                                 permanent=True)
         records = []
         try:
-            for entry in block.get("tx", []):
+            for entry in _objects(block.get("tx", []), height):
                 records.extend(self._expand(entry, height, timestamp))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"block {height} has a malformed tx: {exc}",
@@ -337,12 +350,14 @@ class BitcoinApiProvider(BlockProvider):
 
     def _expand(self, entry: dict, height: int, timestamp: int) -> list[tuple]:
         senders = []
-        for tx_in in entry.get("inputs", []):
-            addr = (tx_in.get("prev_out") or {}).get("addr")
-            if addr:
-                senders.append(addr)
+        for tx_in in _objects(entry.get("inputs", []), height):
+            prev_out = tx_in.get("prev_out") or {}
+            if not isinstance(prev_out, dict):
+                raise ValueError(f"prev_out {prev_out!r} is not an object")
+            if prev_out.get("addr"):
+                senders.append(prev_out["addr"])
         expanded = []
-        for tx_out in entry.get("out", []):
+        for tx_out in _objects(entry.get("out", []), height):
             recipient = tx_out.get("addr")
             if not recipient:
                 continue

@@ -665,6 +665,25 @@ class TestBuild:
         assert err.count("\n") == 1
         assert not (out / "graph.json").exists()
 
+    def test_summary_lists_the_files_this_run_wrote(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        assert run_cli("build", "--output-dir", out) == 0
+        doc = read_json(out / "build_summary.json")
+        assert doc["graph_files"] == {
+            fmt: {"file": str(out / f"graph.{fmt}"),
+                  "sha256": hashlib.sha256(
+                      (out / f"graph.{fmt}").read_bytes()).hexdigest()}
+            for fmt in ("json", "pajek")}
+        assert (doc["chain"], doc["node_count"]) == ("ethereum", 6)
+        assert doc["edge_count"] == len(read_json(out / "graph.json")["edges"])
+        assert list(doc["timings_seconds"]) == ["fold", "export_json",
+                                                "export_pajek"]
+        (out / "graph.json").unlink()
+        assert run_cli("build", "--output-dir", out) == 0  # keeps graph.pajek
+        assert list(read_json(out / "build_summary.json")["graph_files"]) == [
+            "json"]
+
     def test_existing_graph_is_kept(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         download(fixture_dir, out)
@@ -715,6 +734,18 @@ class TestAnalyze:
         missing = tmp_path / "nope.json"
         assert run_cli("analyze", "--graph", missing) == 2
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_graph_exits_2_with_one_line(self, tmp_path, capsys,
+                                                    command, kind):
+        path = tmp_path / "graph.json"
+        if kind == "directory":
+            path.mkdir()
+        assert run_cli(command, "--graph", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read graph file: [Errno ")
+        assert err.count("\n") == 1
 
     def test_corrupt_graph_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "graph.json"
@@ -951,6 +982,41 @@ def rewrite_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+@pytest.fixture()
+def graph_reads(monkeypatch):
+    """Names the graph files the CLI reads, in order."""
+    reads = []
+    import_graph = cli.import_graph
+
+    def counted(path, fmt=None):
+        reads.append(Path(path).name)
+        return import_graph(path, fmt)
+
+    monkeypatch.setattr(cli, "import_graph", counted)
+    return reads
+
+
+def refuse_to_read(path, fmt=None):
+    raise AssertionError(f"read the graph file {path}")
+
+
+def computed_comparison(graph_path, scratch):
+    """The comparison.json of ``compare`` on a copy of ``graph_path`` alone
+    in ``scratch``, where no report or summary can be reused."""
+    scratch.mkdir()
+    copy = scratch / graph_path.name
+    copy.write_bytes(graph_path.read_bytes())
+    assert run_cli("compare", "--graph", copy) == 0
+    doc = read_json(scratch / "comparison.json")
+    assert doc["subject_source"] == "computed"
+    return doc
+
+
+def same_comparison(doc, expected):
+    return (without(doc, "graph_file", "subject_source")
+            == without(expected, "graph_file", "subject_source"))
+
+
 class TestCompareReuse:
     def test_compare_on_pajek_reuses_analyze_on_json(self, built, capsys,
                                                      analyses):
@@ -1053,6 +1119,88 @@ class TestCompareReuse:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "corrupt report: " in err
         assert str(metrics_path) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("analysed, compared", [
+        ("graph.json", "graph.pajek"), ("graph.pajek", "graph.json"),
+        ("graph.json", "graph.json"), ("graph.pajek", "graph.pajek")])
+    def test_digest_link_reuses_the_report_without_reading_the_graph(
+            self, built, tmp_path, capsys, monkeypatch, analyses, analysed,
+            compared):
+        assert run_cli("analyze", "--graph", built / analysed) == 0
+        expected = computed_comparison(built / compared, tmp_path / "scratch")
+        analyses.clear()
+        monkeypatch.setattr(cli, "import_graph", refuse_to_read)
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", built / compared) == 0
+        assert "subject from metrics.json ->" in capsys.readouterr().out
+        assert len(analyses) == 1  # the baseline only
+        doc = read_json(built / "comparison.json")
+        assert doc["subject_source"] == "metrics.json"
+        assert same_comparison(doc, expected)
+
+    @pytest.mark.parametrize("case", [
+        "pajek edited", "json rebuilt", "no summary", "summary not strict JSON",
+        "graph_files a list", "sha256 an int", "sha256 a list",
+        "summary lists one file"])
+    def test_without_a_digest_link_compare_reads_the_graph(
+            self, built, tmp_path, capsys, graph_reads, case):
+        # analyze reads graph.json; compare reads the graph again, then
+        # reuses the report if the fingerprint matches, as before digests
+        graph_path = built / ("graph.json" if case == "json rebuilt"
+                              else "graph.pajek")
+        summary = built / "build_summary.json"
+        assert run_cli("analyze", "--graph", built / "graph.json") == 0
+        if case == "pajek edited":
+            lines = graph_path.read_text().splitlines()
+            graph_path.write_text("\n".join(lines[:-1]) + "\n")
+        elif case == "json rebuilt":
+            other = tmp_path / "other"
+            other.mkdir()
+            for chunk in list_chunk_files(built / "chunks")[:1]:
+                (other / chunk.name).write_bytes(chunk.read_bytes())
+            assert run_cli("build", "--chain", "ethereum", "--chunks", other,
+                           "--checkpoint", tmp_path / "none.json",
+                           "--output-dir", built, "--force") == 0
+        elif case == "no summary":
+            summary.unlink()
+        elif case == "summary not strict JSON":
+            rewrite_json(summary, lambda doc: doc.update(node_count=math.nan))
+        elif case == "graph_files a list":
+            rewrite_json(summary, lambda doc: doc.update(
+                graph_files=list(doc["graph_files"].values())))
+        elif case.startswith("sha256"):
+            digest = 7 if case == "sha256 an int" else ["7"]
+            rewrite_json(summary, lambda doc: [
+                entry.update(sha256=digest)
+                for entry in doc["graph_files"].values()])
+        elif case == "summary lists one file":
+            assert run_cli("build", "--format", "pajek", "--force",
+                           "--output-dir", built) == 0
+            assert list(read_json(summary)["graph_files"]) == ["pajek"]
+        expected = computed_comparison(graph_path, tmp_path / "scratch")
+        graph_reads.clear()
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", graph_path) == 0
+        assert capsys.readouterr().err == ""
+        assert graph_reads == [graph_path.name]
+        doc = read_json(built / "comparison.json")
+        changed = case in ("pajek edited", "json rebuilt")
+        assert doc["subject_source"] == ("computed" if changed else "metrics.json")
+        assert same_comparison(doc, expected)
+
+    @pytest.mark.parametrize("name, fmt", [("graph.pajek", "json"),
+                                           ("graph.json", "pajek")])
+    def test_format_that_does_not_fit_the_file_still_exits_2(self, built, capsys,
+                                                               name, fmt):
+        from ledgernet import import_graph
+        from ledgernet.errors import ParseError
+        assert run_cli("analyze", "--graph", built / "graph.json") == 0
+        with pytest.raises(ParseError) as info:
+            import_graph(built / name, fmt)
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", built / name, "--format", fmt) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not (built / "comparison.json").exists()
 
     def test_metrics_document_records_the_fingerprint(self, built):
         from ledgernet import import_graph
@@ -1191,6 +1339,31 @@ class TestReport:
         assert str(tmp_path / name) in err
         assert err.count("\n") == 1
 
+    def test_prints_the_build_summary(self, built, capsys):
+        capsys.readouterr()
+        assert run_cli("report", "--dir", built) == 0
+        out = capsys.readouterr().out
+        timings = read_json(built / "build_summary.json")["timings_seconds"]
+        assert (f"build: 6 nodes, {len(read_json(built / 'graph.json')['edges'])} "
+                f"edges -> {built / 'graph.json'}, {built / 'graph.pajek'} "
+                f"(seconds: fold {timings['fold']}, "
+                f"export_json {timings['export_json']}, "
+                f"export_pajek {timings['export_pajek']})\n") in out
+
+    @pytest.mark.parametrize("content", [
+        b'{"node_count": 6, "edg', b"\xff\xfe", b"[1, 2]",
+        b'{"graph_files": []}', b'{"timings_seconds": 3}',
+        b'{"graph_files": {"json": "graph.json"}}',
+        pytest.param(DEEP_JSON, id="deep")])
+    def test_corrupt_build_summary_exits_2_with_one_line(self, tmp_path, capsys,
+                                                         content):
+        path = tmp_path / "build_summary.json"
+        path.write_bytes(content)
+        assert run_cli("report", "--dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: corrupt report: ")
+        assert err.count("\n") == 1
+
     def test_empty_directory(self, tmp_path, capsys):
         assert run_cli("report", "--dir", tmp_path) == 0
         assert "no pipeline artifacts found" in capsys.readouterr().out
@@ -1238,7 +1411,8 @@ class TestEntryPoints:
     def test_each_command_loads_only_its_own_code(self, tmp_path):
         # Run as ``python -m ledgernet``, so that what the package itself
         # imports counts too; each command gets a fresh interpreter.
-        analysis = ("ledgernet.metrics", "ledgernet.baseline", "hashlib")
+        analysis_code = ("ledgernet.metrics", "ledgernet.baseline")
+        analysis = analysis_code + ("hashlib",)
         download_code = ("ledgernet.ingestion.download",
                          "ledgernet.ingestion.providers", "concurrent.futures",
                          "requests")
@@ -1251,7 +1425,8 @@ class TestEntryPoints:
             (["download", "--chain", "ethereum", "--fixture", str(MINI),
               "--from-block", "0", "--to-block", "99", "--chunk-size", "30",
               "--output-dir", str(out)], analysis),
-            (["build", "--output-dir", str(out)], analysis + download_code),
+            # build hashes the graph files it writes, so it loads hashlib
+            (["build", "--output-dir", str(out)], analysis_code + download_code),
             (["analyze", "--graph", graph, "--workers", "2"],
              ("ledgernet.baseline",) + no_ingestion),
             (["compare", "--graph", graph, "--workers", "2"], no_ingestion),

@@ -1148,14 +1148,17 @@ def transfer_cases(chain):
 
 def provider_outcome(fields, chain):
     """The record ``fetch_block_transactions`` makes of ``fields``, or the
-    reason it gives for refusing them."""
-    provider = ScriptedProvider(chain, {3: [tuple(fields[f] for f in "htsrv")]})
+    reason it gives for refusing them.  The block fetched is the record's
+    own height when that is an int, so only the transfer rules can refuse
+    it."""
+    height = fields["h"] if type(fields["h"]) is int else 3
+    provider = ScriptedProvider(chain, {height: [tuple(fields[f] for f in "htsrv")]})
     try:
-        [record] = fetch_block_transactions(provider, 3)
+        [record] = fetch_block_transactions(provider, height)
     except ProviderError as exc:
         assert exc.permanent
         prefix, reason = str(exc).split(": ", 1)
-        assert prefix == "block 3 has a malformed transfer"
+        assert prefix == f"block {height} has a malformed transfer"
         return reason
     return record
 
@@ -1202,6 +1205,19 @@ class TestOneTransferCheck:
         assert "\n" not in str(info.value)
         assert chunk_filename(1, 1) not in chunk_bytes(tmp_path)
         assert 1 not in Checkpoint.load(tmp_path / "checkpoint.json").done
+
+    def test_record_of_another_block_fails_its_chunk_permanently(self, tmp_path):
+        provider = ScriptedProvider(ETH, {3: [(3, 3, ADDR[1], ADDR[0], 2),
+                                              (4, 3, ADDR[1], ADDR[0], 2)]})
+        checkpoint = Checkpoint(ETH, 0, 5, 1)
+        with pytest.raises(ProviderError, match="^block 3 returned a transfer "
+                                                "of block 4$") as info:
+            run_download(plan_tasks(BlockRange(0, 5), 1, checkpoint), provider,
+                         checkpoint, chunk_dir=tmp_path / "chunks",
+                         checkpoint_path=tmp_path / "checkpoint.json")
+        assert info.value.permanent
+        assert chunk_filename(3, 3) not in chunk_bytes(tmp_path)
+        assert 3 not in Checkpoint.load(tmp_path / "checkpoint.json").done
 
     def test_raw_ethereum_keys_write_the_bytes_canonical_keys_write(self, tmp_path):
         forms = [str, str.upper, lambda k: k[2:], lambda k: k[2:].upper(),
@@ -1471,3 +1487,58 @@ def test_body_that_is_not_strict_json_is_a_transient_error(chain, body):
     with pytest.raises(ProviderError, match=f"^{message}$") as info:
         provider.latest_height()
     assert not info.value.permanent
+
+
+def reply_provider(chain, block_at):
+    """The network provider of ``chain`` on a stub session whose reply to a
+    block request is ``block_at(height)``: the JSON-RPC result, or the REST
+    body."""
+    class Session:
+        def post(self, url, json=None, timeout=None):
+            return response({"result": block_at(int(json["params"][0], 16))})
+
+        def get(self, url, timeout=None):
+            return response(block_at(int(url.split("/")[-1].split("?")[0])))
+
+    if chain is ETH:
+        return EthereumRpcProvider("https://rpc.example/v3", session=Session())
+    return BitcoinApiProvider(session=Session())
+
+
+def eth_block(transactions):
+    return {"timestamp": "0x64", "transactions": transactions}
+
+
+def btc_block(tx=None, inputs=None, out=None, blocks=None):
+    tx = tx or [{"inputs": inputs or [{"prev_out": {"addr": BTC_IN[0]}}],
+                 "out": out or [{"addr": BTC_OUT[0], "value": 5}]}]
+    return {"blocks": blocks or [{"main_chain": True, "time": 100, "tx": tx}]}
+
+
+@pytest.mark.parametrize("chain, bad, reason", [
+    (ETH, eth_block(["0x" + "ab" * 32]), f"'0x{'ab' * 32}' is not an object"),
+    (ETH, eth_block(7), "expected a list, got int"),
+    (BTC, btc_block(inputs=[5]), "5 is not an object"),
+    (BTC, btc_block(inputs=[{"prev_out": 5}]), "prev_out 5 is not an object"),
+    (BTC, btc_block(out=[[BTC_OUT[0], 5]]), f"['{BTC_OUT[0]}', 5] is not an object"),
+    (BTC, btc_block(tx=["f00d"]), "'f00d' is not an object"),
+    (BTC, btc_block(blocks=[5]), "5 is not an object"),
+], ids=["eth-tx-hashes", "eth-tx-not-a-list", "btc-input", "btc-prev-out",
+        "btc-output", "btc-tx", "btc-blocks-entry"])
+def test_reply_entry_that_is_not_an_object_fails_its_chunk_permanently(
+        tmp_path, chain, bad, reason):
+    good = eth_block([{"from": ADDR[0], "to": ADDR[1], "value": "0x1"}]
+                     ) if chain is ETH else btc_block()
+    provider = reply_provider(chain, lambda height: bad if height == 1 else good)
+    assert len(fetch_block_transactions(provider, 0)) == 1
+    message = f"^block 1 has a malformed tx: {re.escape(reason)}$"
+    with pytest.raises(ProviderError, match=message) as info:
+        fetch_block_transactions(provider, 1)
+    assert info.value.permanent
+    checkpoint = Checkpoint(chain, 0, 2, 1)
+    with pytest.raises(ProviderError, match=message):
+        run_download(plan_tasks(BlockRange(0, 2), 1, checkpoint), provider,
+                     checkpoint, chunk_dir=tmp_path / "chunks",
+                     checkpoint_path=tmp_path / "checkpoint.json")
+    assert chunk_filename(1, 1) not in chunk_bytes(tmp_path)
+    assert 1 not in Checkpoint.load(tmp_path / "checkpoint.json").done

@@ -53,7 +53,6 @@ _MODULE_OF = {
         "average_clustering",
         "connected_components",
         "degree_distributions",
-        "local_clustering",
     ], "metrics"),
 }
 

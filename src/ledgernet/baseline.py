@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .errors import ErSpecError, UndefinedMetricError
-from .graph import EdgeData, InteractionGraph
+from .graph import InteractionGraph
 from .metrics import Adjacency, MetricsReport, analyze
 
 DEFAULT_ACC_THRESHOLD = 2.0
@@ -42,7 +42,8 @@ class ErSpec:
 
 
 class _OrderedRow(dict):
-    add = dict.setdefault  # a neighbour set that keeps insertion order
+    def add(self, b: int) -> None:  # an ordered neighbour set, each amount 1
+        self[b] = 1
 
 
 def _draw(n: int, m: int, seed: int, row: type = set) -> list:
@@ -68,13 +69,11 @@ def _draw(n: int, m: int, seed: int, row: type = set) -> list:
 def generate_er_gnm(spec: ErSpec) -> InteractionGraph:
     """Uniform random simple graph with exactly n nodes and m edges: the
     draw ``compare`` analyses, as nodes ``v1``..``vn`` with neighbours in
-    draw order and one ``EdgeData`` per pair.  The seed fixes the result."""
+    draw order and amount 1 on every edge.  The seed fixes the result."""
     graph = InteractionGraph()
     for i in range(1, spec.n + 1):
         graph.intern_node(f"v{i}")
-    adj = graph.adj
-    for a, row in enumerate(_draw(spec.n, spec.m, spec.seed, _OrderedRow)):
-        adj[a] = {b: EdgeData(1, 1) if a < b else adj[b][a] for b in row}
+    graph.adj = _draw(spec.n, spec.m, spec.seed, _OrderedRow)
     return graph
 
 

@@ -36,6 +36,7 @@ ENV_RETRY_CAP = "LEDGERNET_RETRY_CAP"
 ENV_BACKOFF_BASE = "LEDGERNET_BACKOFF_BASE"
 
 DEFAULT_RATE_LIMIT = 10.0
+MIN_RATE_LIMIT = 1 / 86400  # one request a day; below it a token's wait overflows
 
 
 def _echo(**settings) -> dict:
@@ -101,8 +102,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="download workers (default: logical core count)")
     p.add_argument("--rate-limit", type=float, default=None, metavar="R",
-                   help="max requests per second, 0 disables "
-                        "(default: 10, or 0 with --fixture)")
+                   help="max requests per second, at least 1/86400 (one a "
+                        "day); 0 disables (default: 10, or 0 with --fixture)")
     p.add_argument("--retry-cap", type=int, default=None, metavar="N",
                    help="max attempts per request (default: retry forever)")
     p.add_argument("--backoff-base", type=float, default=None, metavar="SEC")
@@ -180,6 +181,10 @@ def _setting(flag_value, env_name: str, file_config: dict, key: str,
 
 def _finite_non_negative(value) -> bool:
     return math.isfinite(value) and value >= 0
+
+
+def _rate(value) -> bool:
+    return value == 0 or math.isfinite(value) and value >= MIN_RATE_LIMIT
 
 
 def _load_config_file(path) -> dict:
@@ -287,7 +292,8 @@ def cmd_download(args) -> int:
                        "api_key", None, str)
     rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, file_config, "rate_limit",
                           DEFAULT_RATE_LIMIT if args.fixture is None else 0.0,
-                          float, _finite_non_negative, "a finite number >= 0")
+                          float, _rate,
+                          "0 or a finite number >= 1/86400 (one request a day)")
     retry_cap = _setting(args.retry_cap, ENV_RETRY_CAP, file_config,
                          "retry_cap", None, int, lambda cap: cap >= 1, ">= 1")
     backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, file_config,

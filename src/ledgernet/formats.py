@@ -141,9 +141,9 @@ def import_graph(path, fmt: str | None = None) -> InteractionGraph:
     When ``fmt`` is omitted it is inferred from the file suffix.
 
     Validation is strict: referential integrity between edges and vertices,
-    no duplicate vertices, no self-loops, no repeated pairs.  Counter fields
-    (in_tx/out_tx, per-edge tx_count) are not stored in graph files and come
-    back zeroed.
+    no duplicate vertices, no self-loops, no repeated pairs.  The activity
+    counters (in_tx/out_tx) are not stored in graph files and come back
+    zeroed.
     """
     fmt = infer_format(path) if fmt is None else normalize_format(fmt)
     try:

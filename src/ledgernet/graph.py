@@ -5,13 +5,12 @@ the chain is known from the provider, the checkpoint or the graph.
 
 The graph is undirected and simple.  Every transaction between two distinct
 accounts contributes to exactly one edge; repeat transactions on the same
-pair increase that edge's transfer total and transaction count instead of
-adding parallel edges.  Directed activity (how many transactions a node sent
-or received) is kept in per-node counters, separate from the undirected
-structure.
+pair add to that edge's transfer total instead of adding parallel edges.
+Directed activity (how many transactions a node sent or received) is kept in
+per-node counters, separate from the undirected structure.
 
 Edges live in one store: ``adj[a]`` maps each neighbour ``b`` to the pair's
-``EdgeData``, and both ends hold the same object (``adj[a][b] is adj[b][a]``).
+total amount, an ``int`` that both ends hold (``adj[a][b] == adj[b][a]``).
 Per-pair views (``edges``, ``edge_triples``) are built from it on request.
 """
 
@@ -119,14 +118,6 @@ class Transaction:
         _check_numbers(self.block_height, self.timestamp, self.amount)
 
 
-@dataclass(slots=True)
-class EdgeData:
-    """Aggregate of all transactions between one unordered pair of nodes."""
-
-    amount: int = 0
-    tx_count: int = 0
-
-
 class InteractionGraph:
     """Undirected simple graph over addresses, with directed activity counters.
 
@@ -139,7 +130,7 @@ class InteractionGraph:
         self.chain = Chain(chain) if chain is not None else None
         self._ids: dict[str, int] = {}
         self.keys: list[str | None] = [None]
-        self.adj: list[dict[int, EdgeData]] = [{}]
+        self.adj: list[dict[int, int]] = [{}]
         self.in_tx: list[int] = [0]
         self.out_tx: list[int] = [0]
 
@@ -152,11 +143,10 @@ class InteractionGraph:
         return sum(map(len, self.adj)) // 2
 
     @property
-    def edges(self) -> dict[tuple[int, int], EdgeData]:
-        """``{(low, high): EdgeData}`` sorted by pair, built on each access:
+    def edges(self) -> dict[tuple[int, int], int]:
+        """``{(low, high): amount}`` sorted by pair, built on each access:
         bind it once rather than reading it in a loop."""
-        adj = self.adj
-        return {(a, b): adj[a][b] for a, b, _ in self.edge_triples()}
+        return {(a, b): amount for a, b, amount in self.edge_triples()}
 
     def node_ids(self) -> range:
         return range(1, self.node_count + 1)
@@ -173,31 +163,26 @@ class InteractionGraph:
             self.out_tx.append(0)
         return node
 
-    def node_id(self, key: str) -> int:
-        return self._ids[key]
-
     def degree(self, node: int) -> int:
         if not 1 <= node <= self.node_count:
             raise LookupError(f"node {node} not in graph")
         return len(self.adj[node])
 
     def record_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> None:
-        """Add the unordered edge {a, b} or fold more volume into it."""
+        """Add the unordered edge {a, b} or fold more volume into it.
+        ``tx_count`` is accepted and ignored: edges keep no transaction count."""
         if a == b:
             raise ValueError(f"self-loop on node {a}")
-        data = self.adj[a].get(b)
-        if data is None:
-            data = self.adj[a][b] = self.adj[b][a] = EdgeData()
-        data.amount += amount
-        data.tx_count += tx_count
+        row = self.adj[a]
+        row[b] = self.adj[b][a] = row.get(b, 0) + amount
 
-    def insert_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> bool:
+    def insert_edge(self, a: int, b: int, amount: int = 0) -> bool:
         """Add {a, b}, a != b, as a new edge; return False and change nothing
         if the pair already has one.  One dict lookup, for bulk loaders."""
         row = self.adj[a]
         if b in row:
             return False
-        row[b] = self.adj[b][a] = EdgeData(amount, tx_count)
+        row[b] = self.adj[b][a] = amount
         return True
 
     def add_transaction(self, tx: Transaction) -> None:
@@ -221,7 +206,7 @@ class InteractionGraph:
         self.out_tx[source] += 1
         self.in_tx[target] += 1
         if source != target:
-            self.record_edge(source, target, amount, 1)
+            self.record_edge(source, target, amount)
 
     def node_keys(self) -> list[str]:
         """Canonical keys in ID order."""
@@ -229,7 +214,7 @@ class InteractionGraph:
 
     def edge_triples(self) -> list[tuple[int, int, int]]:
         """Edges as (low_id, high_id, aggregated_amount), sorted by ID pair."""
-        return [(a, b, row[b].amount) for a, row in enumerate(self.adj)
+        return [(a, b, row[b]) for a, row in enumerate(self.adj)
                 for b in sorted(row) if a < b]
 
 

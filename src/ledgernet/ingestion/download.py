@@ -97,7 +97,13 @@ class RetryPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(self.max_delay, self.base_delay * self.factor ** (attempt - 1))
+        """``base_delay * factor ** (attempt - 1)``, at most ``max_delay``
+        (0 when ``base_delay`` is 0), plus jitter, for any attempt count."""
+        try:
+            growth = self.factor ** (attempt - 1)
+        except OverflowError:  # past the largest float: the cap holds
+            growth = math.inf
+        base = min(self.max_delay, self.base_delay * growth) if self.base_delay else 0.0
         return base * (1.0 + rng.uniform(0.0, self.jitter))
 
 

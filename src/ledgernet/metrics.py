@@ -230,15 +230,6 @@ def _clustering(adj, nodes: Iterable[int]) -> list[float]:
     return values
 
 
-def local_clustering(graph: InteractionGraph | Adjacency, node: int) -> float:
-    """Fraction of the node's neighbor pairs that are themselves linked;
-    nodes of degree < 2 have no neighbor pairs and count as 0."""
-    adj = graph.adj
-    if not 0 < node < len(adj):
-        raise LookupError(f"node {node} not in graph")
-    return _clustering({v: set(adj[v]) for v in (node, *adj[node])}, [node])[0]
-
-
 def _mean_clustering(values: list[float]) -> float:
     """Mean of local clustering values.  The reduction is part of every
     report's bits: ``math.fsum`` over each run of ``_NODE_CHUNK`` values,

@@ -146,7 +146,7 @@ def graph_from_edges(n: int, pairs) -> InteractionGraph:
     for i in range(1, n + 1):
         graph.intern_node(f"n{i}")
     for a, b in sorted(pairs):
-        graph.record_edge(a + 1, b + 1, amount=1, tx_count=1)
+        graph.record_edge(a + 1, b + 1, amount=1)
     return graph
 
 
@@ -221,7 +221,7 @@ def er_gnm_reference(n: int, m: int, seed: int) -> InteractionGraph:
     for i in range(1, n + 1):
         graph.intern_node(f"v{i}")
     for a, b in er_gnm_draws(n, m, seed):
-        graph.record_edge(a, b, amount=1, tx_count=1)
+        graph.record_edge(a, b, amount=1)
     return graph
 
 

@@ -19,7 +19,6 @@ from ledgernet import (
 )
 from ledgernet import baseline
 from ledgernet.baseline import DEFAULT_ACC_THRESHOLD, DEFAULT_ASPL_THRESHOLD
-from ledgernet.graph import EdgeData
 
 import oracles
 
@@ -242,16 +241,17 @@ class TestCompareBaselines:
     def test_builds_no_graph_for_a_baseline(self, monkeypatch):
         subject = oracles.rewired_ring(30, 4, 0.1, seed=0)
         built = []
-        for cls in (InteractionGraph, EdgeData):
-            def counted(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counted)
+        init = InteractionGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(InteractionGraph, "__init__", counted)
         result = compare(subject, seed=3, samples=2)
         assert len(result.baselines) == 2
         assert built == []
         generate_er_gnm(ErSpec(4, 2))  # the counter does see a graph
-        assert sorted(set(built)) == ["EdgeData", "InteractionGraph"]
+        assert built == ["InteractionGraph"]
 
     def test_baseline_timings_add_the_draw(self):
         result = compare(oracles.rewired_ring(30, 4, 0.1, seed=0), samples=2)

@@ -407,7 +407,8 @@ class TestDownload:
 
     @pytest.mark.parametrize("key, bad", [
         ("rate_limit", float("nan")), ("rate_limit", float("inf")),
-        ("rate_limit", -1.0), ("retry_cap", 0), ("retry_cap", -2),
+        ("rate_limit", -1.0), ("rate_limit", 1e-300), ("rate_limit", 1 / 86401),
+        ("retry_cap", 0), ("retry_cap", -2),
         ("backoff_base", -1.0), ("backoff_base", float("nan")),
         ("backoff_base", float("inf")),
     ])

@@ -23,7 +23,7 @@ def two_node_graph(chain=None):
     g = InteractionGraph(chain)
     g.intern_node("A")
     g.intern_node("B")
-    g.record_edge(1, 2, amount=8, tx_count=1)
+    g.record_edge(1, 2, amount=8)
     return g
 
 
@@ -203,7 +203,7 @@ class TestUnencodableGraph:
 @pytest.mark.parametrize("export", [export_json, export_pajek])
 def test_amount_past_the_int_digit_limit_raises_export_error(tmp_path, export):
     g = two_node_graph()
-    g.adj[1][2].amount = 10 ** 4300  # 4,301 digits
+    g.adj[1][2] = g.adj[2][1] = 10 ** 4300  # 4,301 digits
     path = tmp_path / "g"
     path.write_bytes(b"older graph\n")
     with pytest.raises(ExportError) as info:

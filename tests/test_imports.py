@@ -122,15 +122,18 @@ def test_no_json_method_call_bypasses_formats():
     assert calls == []
 
 
-def test_each_public_name_is_the_object_its_module_defines():
-    names = [name for name in ledgernet.__all__ if name != "__version__"]
+@pytest.mark.parametrize("package", ["ledgernet", "ledgernet.ingestion"])
+def test_each_public_name_is_the_object_its_module_defines(package):
+    package = importlib.import_module(package)
+    names = [name for name in package.__all__ if name != "__version__"]
     for name in names:
-        module = importlib.import_module(f"ledgernet.{ledgernet._MODULE_OF[name]}")
-        assert getattr(ledgernet, name) is getattr(module, name), name
+        module = importlib.import_module(
+            f"{package.__name__}.{package._MODULE_OF[name]}")
+        assert getattr(package, name) is getattr(module, name), name
     namespace = {}
-    exec("from ledgernet import *", namespace)
-    assert {name: namespace[name] for name in ledgernet.__all__} == {
-        name: getattr(ledgernet, name) for name in ledgernet.__all__}
+    exec(f"from {package.__name__} import *", namespace)
+    assert {name: namespace[name] for name in package.__all__} == {
+        name: getattr(package, name) for name in package.__all__}
 
 
 def test_unknown_name_is_an_attribute_error_naming_the_package():

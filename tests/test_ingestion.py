@@ -306,6 +306,27 @@ class TestRetry:
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             RetryPolicy(**{name: value})
 
+    @pytest.mark.parametrize("factor", [2.0, 10.0])
+    def test_delay_saturates_for_any_attempt_count(self, factor):
+        # factor ** 4999 is past the largest float
+        rng = random.Random(0)
+        assert RetryPolicy(factor=factor, jitter=0.0).delay(5000, rng) == 60.0
+        assert RetryPolicy(factor=factor).delay(5000, rng) <= 66.0
+        assert RetryPolicy(base_delay=0, factor=factor).delay(5000, rng) == 0.0
+
+    @pytest.mark.parametrize("base_delay", [0, 0.5])
+    def test_retry_forever_outlasts_the_float_range(self, base_delay):
+        provider = FlakyProvider(failures=2000)
+        sleeps = []
+        value, attempts = call_with_retry(
+            lambda: provider.block_transactions(0),
+            RetryPolicy(base_delay=base_delay), sleep=sleeps.append)
+        assert attempts == 2001 and len(sleeps) == 2000
+        if base_delay:
+            assert max(sleeps) <= 66.0
+        else:
+            assert set(sleeps) == {0.0}
+
     def test_zero_delays_and_one_attempt_are_accepted(self):
         policy = RetryPolicy(base_delay=0, factor=0, jitter=0, max_delay=0,
                              max_attempts=1)

@@ -22,7 +22,6 @@ from ledgernet import (
     export_json,
     export_pajek,
     import_graph,
-    local_clustering,
 )
 from ledgernet import metrics
 from ledgernet.metrics import Adjacency, graph_fingerprint
@@ -131,29 +130,31 @@ class TestConnectedComponents:
 
 
 class TestLocalClustering:
+    """A node's local clustering is ``average_clustering`` over that node."""
+
     def test_triangle_vertex(self):
         g = oracles.complete_graph(3)
-        assert local_clustering(g, 1) == 1.0
+        assert average_clustering(g, [1]) == 1.0
 
     def test_star_center(self):
-        assert local_clustering(star(3), 1) == 0.0
+        assert average_clustering(star(3), [1]) == 0.0
 
     def test_triangle_with_pendant_by_node(self):
         g = triangle_with_pendant()
-        assert_close(local_clustering(g, 1), 1 / 3)
-        assert local_clustering(g, 2) == 1.0
-        assert local_clustering(g, 3) == 1.0
-        assert local_clustering(g, 4) == 0.0
+        assert_close(average_clustering(g, [1]), 1 / 3)
+        assert average_clustering(g, [2]) == 1.0
+        assert average_clustering(g, [3]) == 1.0
+        assert average_clustering(g, [4]) == 0.0
 
     def test_unknown_node(self):
         with pytest.raises(LookupError):
-            local_clustering(oracles.path_graph(2), 5)
+            average_clustering(oracles.path_graph(2), [5])
 
     def test_bounds_on_random_graphs(self):
         rng = random.Random(31)
         g = oracles.random_graph(rng, max_nodes=80)
         for v in g.node_ids():
-            assert 0.0 <= local_clustering(g, v) <= 1.0
+            assert 0.0 <= average_clustering(g, [v]) <= 1.0
 
 
 class TestAverageClustering:
@@ -368,7 +369,7 @@ class TestAdjacency:
             assert degree_distributions(plain) == degree_distributions(g)
             assert connected_components(plain) == connected_components(g)
             for v in g.node_ids():
-                assert local_clustering(plain, v) == local_clustering(g, v)
+                assert average_clustering(plain, [v]) == average_clustering(g, [v])
             assert average_clustering(plain) == average_clustering(g)
             main = sorted(oracles.main_component(g))
             assert average_clustering(plain, main) == average_clustering(g, main)
@@ -380,13 +381,12 @@ class TestAdjacency:
                 assert analyze(plain, sample_sources=sources, seed=1) == \
                     analyze(g, sample_sources=sources, seed=1)
 
-    @pytest.mark.parametrize("node", [0, -1, 5])
-    def test_unknown_node(self, node):
+    def test_unknown_node(self):
         g = oracles.path_graph(4)
         plain = Adjacency([set(row) for row in g.adj], g.in_tx, g.out_tx)
         for graph in (g, plain):
             with pytest.raises(LookupError):
-                local_clustering(graph, node)
+                average_clustering(graph, [5])
 
 
 class TestAnalyze:
@@ -432,8 +432,8 @@ class TestAnalyze:
         permuted = InteractionGraph(g.chain)
         for old in order:
             permuted.intern_node(g.keys[old])
-        for (a, b), data in g.edges.items():
-            permuted.record_edge(mapping[a], mapping[b], data.amount, data.tx_count)
+        for (a, b), amount in g.edges.items():
+            permuted.record_edge(mapping[a], mapping[b], amount)
         for old in g.node_ids():
             permuted.in_tx[mapping[old]] = g.in_tx[old]
             permuted.out_tx[mapping[old]] = g.out_tx[old]
@@ -537,7 +537,7 @@ class TestGraphFingerprint:
         for key in "WXYZ":
             other.intern_node(key)
         for a, b in [(1, 2), (2, 3), (3, 4)]:
-            other.record_edge(a, b, amount=99, tx_count=5)
+            other.record_edge(a, b, amount=99)
         assert graph_fingerprint(g) == graph_fingerprint(other)
 
     def test_what_analyze_reads_counts(self):

@@ -26,7 +26,6 @@ from .formats import (FORMAT_JSON, FORMAT_PAJEK, export_graph, import_graph,
 from .graph import Chain
 
 if TYPE_CHECKING:
-    from .graph import InteractionGraph
     from .metrics import MetricsReport
 
 ENV_ENDPOINT = "LEDGERNET_ENDPOINT"
@@ -36,7 +35,6 @@ ENV_RETRY_CAP = "LEDGERNET_RETRY_CAP"
 ENV_BACKOFF_BASE = "LEDGERNET_BACKOFF_BASE"
 
 DEFAULT_RATE_LIMIT = 10.0
-MIN_RATE_LIMIT = 1 / 86400  # one request a day; below it a token's wait overflows
 
 
 def _echo(**settings) -> dict:
@@ -184,6 +182,7 @@ def _finite_non_negative(value) -> bool:
 
 
 def _rate(value) -> bool:
+    from .ingestion.providers import MIN_RATE_LIMIT
     return value == 0 or math.isfinite(value) and value >= MIN_RATE_LIMIT
 
 
@@ -470,7 +469,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .metrics import analyze, graph_fingerprint
+    from .metrics import analyze
     output = _report_path(args, "metrics.json")
     if output is None:
         return 0
@@ -478,7 +477,6 @@ def cmd_analyze(args) -> int:
     graph = import_graph(args.graph, fmt)
     report = analyze(graph, sample_sources=args.sample_sources, seed=args.seed)
     doc = _report_head(args.graph, _sha256(args.graph))
-    doc["graph_fingerprint"] = graph_fingerprint(graph)
     doc["config"] = _echo(graph_format=fmt, seed=args.seed,
                           sample_sources=args.sample_sources)
     doc.update(report.to_json_dict())
@@ -509,33 +507,23 @@ def _digest_links(graph_file, fmt: str, digest: str, doc: dict) -> bool:
         return False
 
 
-def _subject(args, fmt: str, digest: str
-             ) -> tuple[InteractionGraph | None, MetricsReport | None]:
-    """``(graph, report)`` for the subject of ``compare``: ``report`` is the
-    one in the ``metrics.json`` beside ``--graph`` if this version of
-    ``analyze`` wrote it for this graph with the same seed and
-    sample_sources, else None, however broken that file is.  When the
-    digests link the two, no reader runs and ``graph`` is None; otherwise
-    the report must match the graph's fingerprint and size."""
-    from .metrics import MetricsReport, graph_fingerprint
+def _subject(args, fmt: str, digest: str) -> MetricsReport | None:
+    """The subject report for ``compare``: the ``metrics.json`` beside
+    ``--graph``, if this version of ``analyze`` wrote it with the same seed
+    and sample_sources for a file ``_digest_links`` ties to ``--graph``;
+    None otherwise, however broken that file is."""
+    from .metrics import MetricsReport
     try:
         doc = read_json(Path(args.graph).parent / "metrics.json")
         config = doc["config"]
-        report = (MetricsReport.from_json_dict(doc)
-                  if doc["tool_version"] == __version__
-                  and config.get("seed") == args.seed
-                  and config.get("sample_sources") == args.sample_sources
-                  and isinstance(doc["graph_fingerprint"], str) else None)
+        if (doc["tool_version"] == __version__
+                and config.get("seed") == args.seed
+                and config.get("sample_sources") == args.sample_sources
+                and _digest_links(args.graph, fmt, digest, doc)):
+            return MetricsReport.from_json_dict(doc)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        report = None
-    if report is not None and _digest_links(args.graph, fmt, digest, doc):
-        return None, report
-    graph = import_graph(args.graph, fmt)
-    if (report is not None and doc["graph_fingerprint"] == graph_fingerprint(graph)
-            and (report.node_count, report.edge_count) == (graph.node_count,
-                                                           graph.edge_count)):
-        return graph, report
-    return graph, None
+        pass
+    return None
 
 
 def _subject_text(source) -> str:
@@ -559,7 +547,8 @@ def cmd_compare(args) -> int:
         return 0
     fmt = args.format or infer_format(args.graph)
     digest = _sha256(args.graph)
-    graph, subject = _subject(args, fmt, digest)
+    subject = _subject(args, fmt, digest)
+    graph = import_graph(args.graph, fmt) if subject is None else None
     comparison = compare(graph, seed=args.seed, samples=args.samples,
                          acc_threshold=acc_threshold,
                          aspl_threshold=aspl_threshold,

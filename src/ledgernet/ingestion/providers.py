@@ -374,13 +374,20 @@ class BitcoinApiProvider(BlockProvider):
         return expanded
 
 
+# The slowest rate a TokenBucket serves: one request a day.  Below it a
+# token's wait can pass what ``time.sleep`` accepts (1e-300 overflows).
+MIN_RATE_LIMIT = 1 / 86400
+
+
 class TokenBucket:
     """Thread-safe limiter: at most ``rate`` acquisitions per second,
-    bursts up to one second's worth."""
+    bursts up to one second's worth.  ``rate`` must be at least
+    ``MIN_RATE_LIMIT``."""
 
     def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not rate >= MIN_RATE_LIMIT:
+            raise ValueError(f"rate must be >= 1/86400 (one request a day), "
+                             f"got {rate}")
         self.rate = float(rate)
         self.capacity = max(1.0, float(rate))
         self._tokens = self.capacity

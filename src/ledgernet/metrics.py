@@ -13,16 +13,13 @@ every report.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-import sys
 import time
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -242,10 +239,16 @@ def _mean_clustering(values: list[float]) -> float:
 
 def average_clustering(graph: InteractionGraph | Adjacency,
                        nodes: Sequence[int] | None = None) -> float:
-    """Mean local clustering over ``nodes`` (default: every node)."""
-    adj = _neighbour_sets(graph)
-    return _mean_clustering(_clustering(
-        adj, range(1, len(adj)) if nodes is None else nodes))
+    """Mean local clustering over ``nodes`` (default: every node).  A node
+    ID outside 1..n raises LookupError."""
+    n = len(graph.adj) - 1
+    if nodes is None:
+        nodes = range(1, n + 1)
+    else:
+        for v in nodes:
+            if not 1 <= v <= n:
+                raise LookupError(f"node {v} not in graph")
+    return _mean_clustering(_clustering(_neighbour_sets(graph), nodes))
 
 
 def _bottom_up(frontier_size: int, pending_size: int) -> bool:
@@ -331,35 +334,13 @@ def aspl(graph: InteractionGraph | Adjacency, component_nodes: Sequence[int], *,
     return total / (len(sources) * (k - 1))
 
 
-def graph_fingerprint(graph: InteractionGraph) -> str:
-    """SHA-256 of everything ``analyze`` reads: the node count, the
-    ``in_tx``/``out_tx`` counters, each node's degree and its neighbour IDs
-    in adjacency order, as little-endian 64-bit integers.  Keys, chain and
-    amounts are left out, since no metric depends on them.
-
-    Both graph file readers list neighbours in ascending order, so a graph's
-    JSON and Pajek files give one fingerprint; graphs that differ only in
-    neighbour order may not, which costs a recomputation, never a wrong
-    report."""
-    ints = array("q", [graph.node_count])
-    ints.extend(graph.in_tx)
-    ints.extend(graph.out_tx)
-    ints.extend(map(len, graph.adj))
-    ints.extend(chain.from_iterable(graph.adj))
-    if sys.byteorder == "big":
-        ints.byteswap()
-    return hashlib.sha256(ints).hexdigest()
-
-
 def analyze(graph: InteractionGraph | Adjacency, worker_count: int = 1, *,
             sample_sources: int | None = None, seed: int = 0) -> MetricsReport:
     """Full metric sweep over one graph.
 
-    The result is a pure function of what ``graph_fingerprint`` hashes (plus
-    the sampling knobs), which is how ``compare`` on the CLI knows it may
-    reuse a report instead of running this again.  Main-component ASPL takes
-    most of the time; see ``aspl``.  ``worker_count`` has no effect, since
-    analysis runs on one thread; existing callers may still pass it."""
+    Main-component ASPL takes most of the time; see ``aspl``.
+    ``worker_count`` has no effect, since analysis runs on one thread;
+    existing callers may still pass it."""
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
     if sample_sources is not None and sample_sources < 1:

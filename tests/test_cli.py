@@ -1031,7 +1031,7 @@ class TestCompareReuse:
         assert reused["subject_source"] == "metrics.json"
         assert stripped(reused["subject"]) == without(
             metrics_doc, "tool", "tool_version", "graph_file", "graph_sha256",
-            "graph_fingerprint", "config")
+            "config")
 
         (built / "metrics.json").unlink()
         assert run_cli("compare", "--graph", built / "graph.pajek",
@@ -1056,8 +1056,7 @@ class TestCompareReuse:
 
     @pytest.mark.parametrize("miss", [
         "seed", "sample_sources", "edited graph", "corrupt", "not an object",
-        "no fingerprint", "tool_version", "bad field", "directory",
-        "deeply nested"])
+        "tool_version", "bad field", "directory", "deeply nested"])
     def test_any_mismatch_recomputes_the_subject(self, built, capsys,
                                                  analyses, miss):
         metrics_path = built / "metrics.json"
@@ -1079,8 +1078,6 @@ class TestCompareReuse:
             metrics_path.write_text("[1, 2]")
         elif miss == "deeply nested":
             metrics_path.write_bytes(DEEP_JSON)
-        elif miss == "no fingerprint":
-            rewrite_json(metrics_path, lambda doc: doc.pop("graph_fingerprint"))
         elif miss == "tool_version":
             rewrite_json(metrics_path,
                          lambda doc: doc.update(tool_version="0.0.0"))
@@ -1139,14 +1136,29 @@ class TestCompareReuse:
         assert doc["subject_source"] == "metrics.json"
         assert same_comparison(doc, expected)
 
+    def test_report_with_a_fingerprint_key_is_still_reused(
+            self, built, capsys, monkeypatch, analyses):
+        # earlier versions wrote a graph_fingerprint after graph_sha256
+        assert run_cli("analyze", "--graph", built / "graph.json") == 0
+        rewrite_json(built / "metrics.json",
+                     lambda doc: doc.update(graph_fingerprint="0" * 64))
+        analyses.clear()
+        monkeypatch.setattr(cli, "import_graph", refuse_to_read)
+        capsys.readouterr()
+        assert run_cli("compare", "--graph", built / "graph.pajek") == 0
+        assert "subject from metrics.json ->" in capsys.readouterr().out
+        assert len(analyses) == 1  # the baseline only
+        assert read_json(built / "comparison.json")["subject_source"] == \
+            "metrics.json"
+
     @pytest.mark.parametrize("case", [
         "pajek edited", "json rebuilt", "no summary", "summary not strict JSON",
         "graph_files a list", "sha256 an int", "sha256 a list",
         "summary lists one file"])
     def test_without_a_digest_link_compare_reads_the_graph(
             self, built, tmp_path, capsys, graph_reads, case):
-        # analyze reads graph.json; compare reads the graph again, then
-        # reuses the report if the fingerprint matches, as before digests
+        # nothing links the two files, so compare reads and analyses the
+        # graph, even where it holds the graph analyze read
         graph_path = built / ("graph.json" if case == "json rebuilt"
                               else "graph.pajek")
         summary = built / "build_summary.json"
@@ -1185,8 +1197,7 @@ class TestCompareReuse:
         assert capsys.readouterr().err == ""
         assert graph_reads == [graph_path.name]
         doc = read_json(built / "comparison.json")
-        changed = case in ("pajek edited", "json rebuilt")
-        assert doc["subject_source"] == ("computed" if changed else "metrics.json")
+        assert doc["subject_source"] == "computed"
         assert same_comparison(doc, expected)
 
     @pytest.mark.parametrize("name, fmt", [("graph.pajek", "json"),
@@ -1202,14 +1213,6 @@ class TestCompareReuse:
         assert run_cli("compare", "--graph", built / name, "--format", fmt) == 2
         assert capsys.readouterr().err == f"error: {info.value}\n"
         assert not (built / "comparison.json").exists()
-
-    def test_metrics_document_records_the_fingerprint(self, built):
-        from ledgernet import import_graph
-        from ledgernet.metrics import graph_fingerprint
-        run_cli("analyze", "--graph", built / "graph.pajek")
-        doc = read_json(built / "metrics.json")
-        assert doc["graph_fingerprint"] == graph_fingerprint(
-            import_graph(built / "graph.json"))
 
     def test_report_says_where_the_subject_came_from(self, built, capsys):
         run_cli("compare", "--graph", built / "graph.json")
@@ -1248,7 +1251,7 @@ class TestEcho:
         assert run_cli("analyze", "--graph", built / "graph.json",
                        "--sample-sources", 2) == 0
         doc = read_json(built / "metrics.json")
-        assert list(doc)[:7] == head + ["graph_fingerprint", "config"]
+        assert list(doc)[:6] == head + ["config"]
         assert list(doc["config"]) == ["graph_format", "seed", "sample_sources"]
         assert re.fullmatch(GENERATED_AT, doc["generated_at"])
         assert run_cli("compare", "--graph", built / "graph.json",

@@ -1292,6 +1292,26 @@ class TestRateLimiting:
         with pytest.raises(ValueError):
             TokenBucket(0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1 / 86401],
+                             ids=["1e-300", "1/86401"])
+    def test_rejects_a_rate_below_one_request_a_day(self, rate):
+        with pytest.raises(ValueError, match="one request a day"):
+            TokenBucket(rate)
+
+    def test_one_request_a_day_waits_a_day(self):
+        clock = [0.0]
+        sleeps = []
+
+        def fake_sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        bucket = TokenBucket(rate=1 / 86400, clock=lambda: clock[0],
+                             sleep=fake_sleep)
+        bucket.acquire()
+        bucket.acquire()
+        assert sleeps == [pytest.approx(86400)]
+
     def test_throttled_provider_takes_a_token_per_call(self, tmp_path):
         class CountingBucket:
             def __init__(self):

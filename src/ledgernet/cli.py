@@ -277,8 +277,8 @@ def cmd_download(args) -> int:
     from .ingestion.checkpoint import Checkpoint
     from .ingestion.chunks import list_chunk_files
     from .ingestion.download import (DEFAULT_CHUNK_SIZE, DEFAULT_SLACK, BlockRange,
-                                     RetryPolicy, TimeInterval, plan_tasks,
-                                     resolve_block_range, run_download)
+                                     RetryPolicy, TimeInterval, call_with_retry,
+                                     plan_tasks, resolve_block_range, run_download)
     from .ingestion.providers import (BitcoinApiProvider, EthereumRpcProvider,
                                       FixtureProvider, ThrottledProvider, TokenBucket)
     chain = Chain(args.chain)
@@ -332,6 +332,10 @@ def cmd_download(args) -> int:
             block_range = BlockRange(args.from_block, args.to_block)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        latest, _ = call_with_retry(provider.latest_height, retry_policy)
+        if block_range.last > latest:
+            raise UsageError(f"--to-block {block_range.last} is past the chain "
+                             f"tip, block {latest}")
     else:
         try:
             interval = TimeInterval(args.from_time, args.to_time)

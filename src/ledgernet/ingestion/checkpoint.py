@@ -24,20 +24,17 @@ class Checkpoint:
     last: int
     chunk_size: int
     done: set[int] = field(default_factory=set)
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         self.chain = Chain(self.chain)
-        if self.version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {self.version}")
         if not 0 <= self.first <= self.last:
             raise CheckpointError(f"bad block range {self.first}..{self.last}")
         if self.chunk_size < 1:
             raise CheckpointError(f"bad chunk size {self.chunk_size}")
-        planned = set(self.planned_firsts())
-        stray = self.done - planned
+        planned = self.planned_firsts()
+        stray = sorted(first for first in self.done if first not in planned)
         if stray:
-            raise CheckpointError(f"done chunks outside the plan: {sorted(stray)}")
+            raise CheckpointError(f"done chunks outside the plan: {stray}")
 
     def planned_firsts(self) -> range:
         return range(self.first, self.last + 1, self.chunk_size)
@@ -68,7 +65,7 @@ class Checkpoint:
 
     def save(self, path) -> None:
         write_json(path, {
-            "version": self.version,
+            "version": FORMAT_VERSION,
             "chain": self.chain.value,
             "first": self.first,
             "last": self.last,
@@ -96,9 +93,11 @@ class Checkpoint:
         for key in ("version", "first", "last", "chunk_size"):
             if type(doc[key]) is not int:
                 raise CheckpointError(f"corrupt checkpoint {path}: bad {key!r}")
+        if doc["version"] != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {doc['version']}")
         try:
             return cls(chain=Chain(doc["chain"]), first=doc["first"],
                        last=doc["last"], chunk_size=doc["chunk_size"],
-                       done=set(done), version=doc["version"])
+                       done=set(done))
         except ValueError as exc:
             raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc

@@ -29,7 +29,7 @@ from ..formats import parse_json
 from ..graph import Chain, InteractionGraph, Record, Transaction, transfer_record
 from .checkpoint import Checkpoint
 
-_CHUNK_NAME = re.compile(r"^chunk_(\d+)_(\d+)\.ndjson$")
+_CHUNK_NAME = re.compile(r"chunk_([0-9]+)_([0-9]+)\.ndjson")
 _FIELDS = ("h", "t", "s", "r", "v")
 _FIELD_SET = frozenset(_FIELDS)
 # The line write_chunk writes, by chain, when its keys are canonical
@@ -41,6 +41,8 @@ _WRITTEN_LINE = {chain: re.compile(
     % (_DIGITS, _DIGITS, key, key, _DIGITS)).fullmatch
     for chain, key in ((Chain.ETHEREUM, "0x[0-9a-f]{40}"),
                        (Chain.BITCOIN, r'[!#-\[\]-~]+'))}
+# A byte that is not UTF-8, as reading with errors="surrogateescape" keeps it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search
 
 
 def chunk_filename(first: int, last: int) -> str:
@@ -48,7 +50,7 @@ def chunk_filename(first: int, last: int) -> str:
 
 
 def parse_chunk_filename(name: str) -> tuple[int, int] | None:
-    match = _CHUNK_NAME.match(name)
+    match = _CHUNK_NAME.fullmatch(name)
     if match is None:
         return None
     return int(match.group(1)), int(match.group(2))
@@ -118,12 +120,15 @@ def _records(files: list[Path], chain: Chain | str) -> Iterator[Record]:
     written = _WRITTEN_LINE[chain]
     for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
                 match = written(line)
                 if match is not None:
                     h, t, s, r, v = match.groups()
                     record = (int(h), int(t), s, r, int(v))
+                elif _NOT_UTF8(line):
+                    raise ParseError("bytes that are not UTF-8", path=path,
+                                     line=line_no)
                 elif line.strip():
                     record = _decode_record(line, chain, path, line_no)
                 else:

@@ -72,39 +72,41 @@ class DownloadTask:
     attempt_count: int = 0
 
 
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
+MAX_BACKOFF = 60.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter.
+    """Exponential backoff with jitter from ``base_delay``.
 
     ``max_attempts`` None means retry forever; transient provider failures
-    are repeated until the request is satisfied.  The delays must be finite
-    and >= 0 and ``max_attempts`` >= 1, or construction raises ValueError.
+    are repeated until the request is satisfied.  ``base_delay`` must be
+    finite and >= 0 and ``max_attempts`` >= 1, or construction raises
+    ValueError.
     """
 
     base_delay: float = 0.5
-    factor: float = 2.0
-    jitter: float = 0.1
-    max_delay: float = 60.0
     max_attempts: int | None = None
 
     def __post_init__(self):
-        for name in ("base_delay", "factor", "jitter", "max_delay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, "
-                                 f"got {value!r}")
+        if not (math.isfinite(self.base_delay) and self.base_delay >= 0):
+            raise ValueError(f"base_delay must be a finite number >= 0, "
+                             f"got {self.base_delay!r}")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        """``base_delay * factor ** (attempt - 1)``, at most ``max_delay``
-        (0 when ``base_delay`` is 0), plus jitter, for any attempt count."""
+        """``base_delay * BACKOFF_FACTOR ** (attempt - 1)``, at most
+        ``MAX_BACKOFF`` (0 when ``base_delay`` is 0), plus jitter, for any
+        attempt count."""
         try:
-            growth = self.factor ** (attempt - 1)
+            growth = BACKOFF_FACTOR ** (attempt - 1)
         except OverflowError:  # past the largest float: the cap holds
             growth = math.inf
-        base = min(self.max_delay, self.base_delay * growth) if self.base_delay else 0.0
-        return base * (1.0 + rng.uniform(0.0, self.jitter))
+        base = min(MAX_BACKOFF, self.base_delay * growth) if self.base_delay else 0.0
+        return base * (1.0 + rng.uniform(0.0, BACKOFF_JITTER))
 
 
 def call_with_retry(fn: Callable, policy: RetryPolicy | None = None, *,
@@ -232,16 +234,13 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
                  checkpoint: Checkpoint, *, chunk_dir, checkpoint_path,
                  worker_count: int = 1,
                  retry_policy: RetryPolicy | None = None,
-                 stop_event: threading.Event | None = None,
-                 on_chunk_complete: Callable[[DownloadTask], None] | None = None,
-                 ) -> DownloadSummary:
+                 stop_event: threading.Event | None = None) -> DownloadSummary:
     """Fetch every task's blocks into chunk files, checkpointing as it goes.
 
     ``stop_event`` requests a graceful stop: in-flight chunks finish and are
     recorded, pending ones stay pending for the next run.  On an unrecoverable
     provider error the remaining work is abandoned the same way and the error
-    propagates with the checkpoint intact.  ``on_chunk_complete`` fires for a
-    chunk once a saved checkpoint lists it.
+    propagates with the checkpoint intact.
     """
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
@@ -276,7 +275,7 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
             wait(batch)
             while futures and futures[0].done():
                 batch.append(futures.popleft())
-            finished = []
+            completed = summary.chunks_completed
             for future in batch:
                 try:
                     task, temp, blocks, lines = future.result()
@@ -292,13 +291,9 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
                 summary.chunks_completed += 1
                 summary.blocks_fetched += blocks
                 summary.transactions_written += lines
-                finished.append(task)
-            if finished:
+            if summary.chunks_completed > completed:
                 checkpoint.save(checkpoint_path)
                 summary.checkpoint_saves += 1
-            if on_chunk_complete is not None:
-                for task in finished:
-                    on_chunk_complete(task)
     if failure is not None:
         raise failure
     summary.interrupted = stop_event.is_set()

@@ -209,15 +209,10 @@ class EthereumRpcProvider(BlockProvider):
             self.url = f"{self.url}/{api_key}"
         self.session = session or _requests().Session()
         self.timeout = timeout
-        self._id_lock = threading.Lock()
-        self._next_id = 0
 
     def _call(self, method: str, params: list):
-        with self._id_lock:
-            self._next_id += 1
-            request_id = self._next_id
-        body = {"jsonrpc": "2.0", "id": request_id,
-                "method": method, "params": params}
+        # Each POST gets its own reply, so the id pairs nothing and is constant
+        body = {"jsonrpc": "2.0", "id": 1, "method": method, "params": params}
         try:
             response = self.session.post(self.url, json=body, timeout=self.timeout)
         except _requests().RequestException as exc:

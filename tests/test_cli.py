@@ -266,6 +266,68 @@ class TestDownload:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_block", [10, 20_000])
+    def test_to_block_past_the_tip_is_refused_before_any_file(
+            self, fixture_dir, tmp_path, capsys, to_block):
+        out = tmp_path / "out"
+        code = run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       "--from-block", 0, "--to-block", to_block,
+                       "--chunk-size", 1, "--output-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == (f"usage error: --to-block {to_block} "
+                                           "is past the chain tip, block 9\n")
+        assert not out.exists()
+        assert download(fixture_dir, out) == 0
+
+    def test_to_block_past_the_tip_leaves_a_checkpoint_as_it_was(
+            self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert download(fixture_dir, out) == 0
+        before = (out / "checkpoint.json").read_bytes(), chunk_bytes(out)
+        capsys.readouterr()
+        code = run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       "--from-block", 0, "--to-block", 12, "--force",
+                       "--output-dir", out)
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "usage error: --to-block 12 is past the chain tip, block 9\n")
+        assert ((out / "checkpoint.json").read_bytes(), chunk_bytes(out)) == before
+
+    def test_fixture_without_blocks_is_one_line(self, tmp_path, capsys):
+        fixture = tmp_path / "fx"
+        make_fixture(fixture, block_count=0)
+        out = tmp_path / "out"
+        code = run_cli("download", "--chain", "ethereum", "--fixture", fixture,
+                       "--from-block", 0, "--to-block", 0, "--output-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: fixture {fixture} holds no blocks\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("times, line", [
+        ([250], "--from-time and --to-time must be given together"),
+        ([650, 250], "interval start 650 after end 250"),
+    ], ids=["from-time-alone", "from-after-to"])
+    def test_time_interval_usage_errors(self, fixture_dir, tmp_path, capsys,
+                                        times, line):
+        flags = [flag for pair in zip(["--from-time", "--to-time"], times)
+                 for flag in pair]
+        out = tmp_path / "out"
+        code = run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
+                       *flags, "--output-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {line}\n"
+        assert not out.exists()
+
+    def test_config_file_holding_an_array_is_a_usage_error(self, fixture_dir,
+                                                           tmp_path, capsys):
+        config_path = tmp_path / "settings.json"
+        config_path.write_text('[{"rate_limit": 5}]\n')
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--config", config_path) == 1
+        assert capsys.readouterr().err == (f"usage error: config file {config_path} "
+                                           "must hold a JSON object\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["download", "--chain", "ethereum", "--fixture", "FX"],
         ["download", "--chain", "ethereum", "--fixture", "FX",
@@ -313,7 +375,7 @@ class TestDownload:
                        "--output-dir", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        assert "eth_getBlockByNumber failed" in err
+        assert "eth_blockNumber failed" in err
         assert "SECRETKEY123" not in err
 
     def test_flag_beats_env_beats_config_file(self, fixture_dir, tmp_path,
@@ -497,6 +559,26 @@ class TestBuild:
         assert len(doc["vertices"]) == 6
         pajek = (out / "graph.pajek").read_text()
         assert pajek.startswith("*Vertices 6\n")
+
+    @pytest.mark.parametrize("with_checkpoint", [False, True])
+    def test_chunk_file_that_is_not_utf8_is_one_line(self, fixture_dir, tmp_path,
+                                                     capsys, with_checkpoint):
+        out = tmp_path / "out"
+        download(fixture_dir, out)
+        path = out / "chunks" / "chunk_3_5.ndjson"
+        first, *rest = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + b"\xff\xfe" + b"".join(rest))
+        capsys.readouterr()
+        if with_checkpoint:
+            code = run_cli("build", "--output-dir", out)
+        else:
+            code = run_cli("build", "--output-dir", tmp_path / "bare", "--chunks",
+                           out / "chunks", "--chain", "ethereum")
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path}: line 2: "
+                                           "bytes that are not UTF-8\n")
+        assert not (out / "graph.json").exists()
+        assert not (tmp_path / "bare").exists()
 
     def test_chain_comes_from_checkpoint(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import random
 import re
 import threading
 import time
+import tracemalloc
 
 import pytest
 import requests
@@ -86,6 +87,14 @@ class FlakyProvider:
         return [(height, height * 100, ADDR[0], ADDR[1], height + 1)]
 
 
+class NoJitter:
+    """An rng whose ``uniform`` draws its lower bound: backoff without jitter."""
+
+    @staticmethod
+    def uniform(low, high):
+        return low
+
+
 class TestFixtureProvider:
     def test_reads_chain_from_meta(self, tmp_path):
         make_fixture(tmp_path, chain="bitcoin", txs_per_block=0)
@@ -138,6 +147,34 @@ class TestFixtureProvider:
         make_fixture(tmp_path, block_count=2)
         with pytest.raises(ProviderError) as info:
             FixtureProvider(tmp_path).block_transactions(5)
+        assert info.value.permanent
+
+    def test_fixture_without_block_files_has_no_tip(self, tmp_path):
+        write_fixture_meta(tmp_path, "ethereum")
+        (tmp_path / "block_notes.json").write_text("{}")
+        with pytest.raises(ProviderError, match=f"^fixture {re.escape(str(tmp_path))} "
+                                                "holds no blocks$") as info:
+            FixtureProvider(tmp_path).latest_height()
+        assert info.value.permanent
+
+    @pytest.mark.parametrize("call", ["block_header", "block_transactions"])
+    def test_block_claiming_another_height_is_permanent(self, tmp_path, call):
+        make_fixture(tmp_path, block_count=2)
+        (tmp_path / "block_00000001.json").write_bytes(
+            (tmp_path / "block_00000000.json").read_bytes())
+        with pytest.raises(ProviderError, match="^fixture block file "
+                           r"block_00000001\.json claims height 0$") as info:
+            getattr(FixtureProvider(tmp_path), call)(1)
+        assert info.value.permanent
+
+    def test_transaction_without_amount_is_permanent(self, tmp_path):
+        write_fixture_meta(tmp_path, "ethereum")
+        (tmp_path / "block_00000000.json").write_text(json.dumps(
+            {"height": 0, "timestamp": 5,
+             "transactions": [{"sender": ADDR[0], "recipient": ADDR[1]}]}))
+        with pytest.raises(ProviderError, match="^fixture block 0 malformed: "
+                                                "'amount'$") as info:
+            FixtureProvider(tmp_path).block_transactions(0)
         assert info.value.permanent
 
     @pytest.mark.parametrize("meta, problem", [
@@ -231,8 +268,8 @@ class TestRetry:
         provider = FlakyProvider(failures=2)
         sleeps = []
         task = DownloadTask(0, 0)
-        txs = fetch_block_transactions(provider, 0, RetryPolicy(jitter=0.0),
-                                       task=task, sleep=sleeps.append)
+        txs = fetch_block_transactions(provider, 0, RetryPolicy(), task=task,
+                                       sleep=sleeps.append, rng=NoJitter())
         assert len(txs) == 1
         assert task.attempt_count == 3
         assert sleeps == [0.5, 1.0]
@@ -240,9 +277,8 @@ class TestRetry:
     def test_attempt_cap(self):
         provider = FlakyProvider(failures=100)
         with pytest.raises(ProviderError) as info:
-            fetch_block_transactions(provider, 0,
-                                     RetryPolicy(max_attempts=5, jitter=0.0),
-                                     sleep=lambda s: None)
+            fetch_block_transactions(provider, 0, RetryPolicy(max_attempts=5),
+                                     sleep=lambda s: None, rng=NoJitter())
         assert info.value.attempts == 5
         assert "after 5 attempts" in str(info.value)
         assert provider.calls == 5
@@ -267,20 +303,20 @@ class TestRetry:
         provider = FlakyProvider(failures=failures)
         value, attempts = call_with_retry(
             lambda: provider.block_transactions(0),
-            RetryPolicy(jitter=0.0), sleep=lambda s: None)
+            RetryPolicy(), sleep=lambda s: None, rng=NoJitter())
         assert attempts == failures + 1
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_delay=0.5, factor=2.0, jitter=0.0, max_delay=4.0)
-        rng = random.Random(0)
-        delays = [policy.delay(a, rng) for a in range(1, 7)]
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0, 4.0]
+        policy = RetryPolicy(base_delay=0.5)
+        delays = [policy.delay(a, NoJitter()) for a in range(1, 11)]
+        assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0, 60.0]
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=1.0, factor=1.0, jitter=0.25)
+        policy = RetryPolicy(base_delay=1.0)
         rng = random.Random(1)
         for attempt in range(1, 30):
-            assert 1.0 <= policy.delay(attempt, rng) <= 1.25
+            low = min(60.0, 2.0 ** (attempt - 1))
+            assert low <= policy.delay(attempt, rng) <= low * 1.1
 
     def test_negative_base_delay_is_rejected_before_any_sleep(self):
         provider = FlakyProvider(failures=1)
@@ -291,7 +327,7 @@ class TestRetry:
         assert provider.calls == 0
 
     def test_nan_base_delay_is_rejected(self):
-        # min(max_delay, nan) is max_delay, so every retry would wait 60 s
+        # min(MAX_BACKOFF, nan) is MAX_BACKOFF, so every retry would wait 60 s
         with pytest.raises(ValueError, match="base_delay .* got nan"):
             RetryPolicy(base_delay=float("nan"))
 
@@ -299,20 +335,17 @@ class TestRetry:
         with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
             RetryPolicy(max_attempts=0)
 
-    @pytest.mark.parametrize("name", ["base_delay", "factor", "jitter",
-                                      "max_delay"])
     @pytest.mark.parametrize("value", [-0.5, float("inf"), float("-inf")])
-    def test_negative_or_infinite_field_is_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            RetryPolicy(**{name: value})
+    def test_negative_or_infinite_field_is_rejected(self, value):
+        with pytest.raises(ValueError, match="base_delay must be a finite number"):
+            RetryPolicy(base_delay=value)
 
-    @pytest.mark.parametrize("factor", [2.0, 10.0])
-    def test_delay_saturates_for_any_attempt_count(self, factor):
-        # factor ** 4999 is past the largest float
+    def test_delay_saturates_for_any_attempt_count(self):
+        # 2.0 ** 4999 is past the largest float
         rng = random.Random(0)
-        assert RetryPolicy(factor=factor, jitter=0.0).delay(5000, rng) == 60.0
-        assert RetryPolicy(factor=factor).delay(5000, rng) <= 66.0
-        assert RetryPolicy(base_delay=0, factor=factor).delay(5000, rng) == 0.0
+        assert RetryPolicy().delay(5000, NoJitter()) == 60.0
+        assert RetryPolicy().delay(5000, rng) <= 66.0
+        assert RetryPolicy(base_delay=0).delay(5000, rng) == 0.0
 
     @pytest.mark.parametrize("base_delay", [0, 0.5])
     def test_retry_forever_outlasts_the_float_range(self, base_delay):
@@ -328,8 +361,7 @@ class TestRetry:
             assert set(sleeps) == {0.0}
 
     def test_zero_delays_and_one_attempt_are_accepted(self):
-        policy = RetryPolicy(base_delay=0, factor=0, jitter=0, max_delay=0,
-                             max_attempts=1)
+        policy = RetryPolicy(base_delay=0, max_attempts=1)
         assert policy.delay(3, random.Random(0)) == 0
 
 
@@ -468,12 +500,37 @@ class TestCheckpoint:
         '{"version":1,"chain":"ethereum","first":9,"last":0,"chunk_size":5,"done":[]}',
         '{"version":1,"chain":"ethereum","first":0,"last":9,"done":[]}',
         '{"version":1,"chain":"ethereum","first":0,"last":9,"chunk_size":5,"done":["0"]}',
+        '{"version":1,"chain":"ethereum","first":0,"last":9,"chunk_size":0,"done":[]}',
+        '{"version":1,"chain":"ethereum","first":"0","last":9,"chunk_size":5,"done":[]}',
     ])
     def test_load_rejects_corrupt_files(self, tmp_path, doc):
         path = tmp_path / "checkpoint.json"
         path.write_text(doc)
         with pytest.raises(CheckpointError):
             Checkpoint.load(path)
+
+    def test_load_rejects_another_version(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text('{"version":2,"chain":"ethereum","first":0,"last":9,'
+                        '"chunk_size":5,"done":[]}')
+        with pytest.raises(CheckpointError,
+                           match="^unsupported checkpoint version 2$"):
+            Checkpoint.load(path)
+
+    def test_done_chunks_outside_the_plan_are_rejected(self):
+        with pytest.raises(CheckpointError,
+                           match=r"^done chunks outside the plan: \[3, 10\]$"):
+            Checkpoint(ETH, 0, 9, 5, done={10, 0, 3})
+
+    def test_plan_is_not_materialised(self):
+        tracemalloc.start()
+        try:
+            checkpoint = Checkpoint(ETH, 0, 10**6, 1, done={7})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not checkpoint.is_complete
+        assert peak < 100_000  # a set of a million chunks takes some 30 MB
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -622,6 +679,49 @@ class TestFoldChunks:
         expected = graph_state(build_graph(txs, chain))
         assert graph_state(library_graph(chunk_dir, chain)) == expected
         assert graph_state(fold_chunks(chunk_dir, chain)) == expected
+
+    def test_decode_transaction_reads_one_line(self):
+        upper = ADDR[0].upper().replace("0X", "0x")
+        line = json.dumps({"h": 3, "t": 100, "s": upper, "r": ADDR[1], "v": 7})
+        assert decode_transaction(line, "ethereum") == Transaction(
+            ADDR[0], ADDR[1], 7, 3, 100)
+
+    @pytest.mark.parametrize("bad", [b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"],
+                             ids=["ff-fe", "truncated", "encoded-surrogate"])
+    @pytest.mark.parametrize("where", ["line", "key", "blank"])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, bad,
+                                                         where):
+        good = line_of(1, 100, None, ADDR[1], 5).encode()
+        line = {"line": bad + b"\n",
+                "key": good.replace(ADDR[1][:4].encode(), b"0x" + bad),
+                "blank": b"  " + bad + b"\r\n"}[where]
+        path = tmp_path / chunk_filename(0, 9)
+        path.write_bytes(good + line + good)
+        for read in (lambda: fold_chunks(tmp_path, ETH),
+                     lambda: list(iter_chunk_transactions(tmp_path, ETH))):
+            with pytest.raises(ParseError) as info:
+                read()
+            assert str(info.value) == f"{path}: line 2: bytes that are not UTF-8"
+            assert (info.value.path, info.value.line) == (path, 2)
+
+    def test_bad_bytes_in_a_later_chunk_yield_the_earlier_ones_first(self,
+                                                                     tmp_path):
+        (tmp_path / chunk_filename(0, 0)).write_text(line_of(0, 0, None, ADDR[1], 5))
+        (tmp_path / chunk_filename(1, 1)).write_bytes(b"\x80\n")
+        read = iter_chunk_transactions(tmp_path, ETH)
+        assert next(read) == Transaction(None, ADDR[1], 5, 0, 0)
+        with pytest.raises(ParseError, match="line 1: bytes that are not UTF-8"):
+            next(read)
+
+    @pytest.mark.parametrize("name", ["chunk_\u0660_\u0664.ndjson",
+                                      "chunk_0_\uff14.ndjson",
+                                      "chunk_0_4.ndjson\n", "xchunk_0_4.ndjson"])
+    def test_only_ascii_digit_names_are_chunk_files(self, tmp_path, name):
+        (tmp_path / name).write_text(line_of(1, 0, None, ADDR[2], 5))
+        (tmp_path / chunk_filename(5, 9)).write_text(line_of(7, 0, None, ADDR[1], 5))
+        assert chunks.parse_chunk_filename(name) is None
+        assert list_chunk_files(tmp_path) == [tmp_path / chunk_filename(5, 9)]
+        assert fold_chunks(tmp_path, ETH).node_keys() == [ADDR[1]]
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_rejects_malformed_lines_like_decode(self, tmp_path, line):
@@ -952,7 +1052,7 @@ class TestWrittenLineFastPath:
 
 
 def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,
-                         stop_after_blocks=None, on_chunk_complete=None):
+                         stop_after_blocks=None):
     provider = FixtureProvider(fixture)
     block_range = BlockRange(0, provider.latest_height())
     checkpoint_path = out_dir / "checkpoint.json"
@@ -968,8 +1068,7 @@ def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,
     summary = run_download(tasks, provider, checkpoint,
                            chunk_dir=out_dir / "chunks",
                            checkpoint_path=checkpoint_path,
-                           worker_count=worker_count, stop_event=stop_event,
-                           on_chunk_complete=on_chunk_complete)
+                           worker_count=worker_count, stop_event=stop_event)
     return summary, checkpoint
 
 
@@ -1011,13 +1110,6 @@ class TestRunDownload:
         assert checkpoint.is_complete
         assert Checkpoint.load(out / "checkpoint.json") == checkpoint
 
-    def test_completion_callback_fires_per_chunk(self, tmp_path):
-        fixture = make_fixture(tmp_path / "fx")
-        seen = []
-        run_fixture_download(fixture, tmp_path / "out",
-                             on_chunk_complete=lambda task: seen.append(task.first))
-        assert sorted(seen) == [0, 3, 6, 9]
-
     def test_chunk_lines_are_ordered_and_decodable(self, tmp_path):
         fixture = make_fixture(tmp_path / "fx")
         out = tmp_path / "out"
@@ -1058,16 +1150,9 @@ class TestRunDownload:
                                                    worker_count):
         out = tmp_path / "out"
         saved = watch_saves(monkeypatch, out / "chunks")
-        completed = []
-
-        def on_chunk_complete(task):
-            assert saved and task.first in saved[-1]
-            completed.append(task.first)
-
         summary, checkpoint = run_fixture_download(
             make_fixture(tmp_path / "fx", block_count=12), out, chunk_size=1,
-            worker_count=worker_count, on_chunk_complete=on_chunk_complete)
-        assert sorted(completed) == list(range(12))
+            worker_count=worker_count)
         assert summary.checkpoint_saves == len(saved) <= 12 + 1
         assert saved[-1] == checkpoint.done == set(range(12))
 
@@ -1394,6 +1479,29 @@ class TestEthereumRpcProvider:
             provider.block_transactions(7)
         assert info.value.permanent
 
+    def test_block_header(self):
+        def script(url, body):
+            assert body["method"] == "eth_getBlockByNumber"
+            assert body["params"] == ["0x7", False]
+            return response({"result": {"timestamp": "0x64"}})
+
+        assert self.provider(script).block_header(7) == 100
+
+    def test_reply_without_result_or_error_is_transient(self):
+        provider = self.provider(lambda url, body: response({"jsonrpc": "2.0",
+                                                             "id": 1}))
+        with pytest.raises(ProviderError, match="^eth_blockNumber returned a "
+                                                "malformed JSON-RPC response$") as info:
+            provider.latest_height()
+        assert not info.value.permanent
+
+    @pytest.mark.parametrize("call", ["block_header", "block_transactions"])
+    def test_null_block_is_permanent(self, call):
+        provider = self.provider(lambda url, body: response({"result": None}))
+        with pytest.raises(ProviderError, match="^block 7 not available$") as info:
+            getattr(provider, call)(7)
+        assert info.value.permanent
+
     def test_rpc_error_is_transient(self):
         provider = self.provider(
             lambda url, body: response({"error": {"code": -32005,
@@ -1457,6 +1565,54 @@ class TestBitcoinApiProvider:
     def test_latest_height(self):
         provider = self.provider({"/latestblock": {"height": 123}})
         assert provider.latest_height() == 123
+
+    def test_transport_error_is_transient(self):
+        class RefusingSession:
+            def get(self, url, timeout=None):
+                raise requests.ConnectionError("boom")
+
+        with pytest.raises(ProviderError,
+                           match="^GET /latestblock failed: boom$") as info:
+            BitcoinApiProvider(session=RefusingSession()).latest_height()
+        assert not info.value.permanent
+
+    def test_http_error_is_transient(self):
+        class BusySession:
+            def get(self, url, timeout=None):
+                return response(None, 503)
+
+        with pytest.raises(ProviderError, match="^GET /block-height/7"
+                           r"\?format=json returned HTTP 503$") as info:
+            BitcoinApiProvider(session=BusySession()).block_header(7)
+        assert not info.value.permanent
+
+    @pytest.mark.parametrize("doc", [{}, {"height": "123"}, {"height": 1.0},
+                                     {"height": True}, [123]])
+    def test_latestblock_without_integer_height_is_transient(self, doc):
+        provider = self.provider({"/latestblock": doc})
+        with pytest.raises(ProviderError, match="^latestblock returned no "
+                                                "height: ") as info:
+            provider.latest_height()
+        assert not info.value.permanent
+
+    def test_height_without_main_chain_block_takes_the_first(self):
+        routes = {"/block-height/7?format=json": {"blocks": [
+            {"main_chain": False, "time": 1, "tx": []},
+            {"main_chain": False, "time": 2, "tx": []},
+        ]}}
+        assert self.provider(routes).block_header(7) == 1
+
+    @pytest.mark.parametrize("time", [None, "100", 100.0, True])
+    @pytest.mark.parametrize("call", ["block_header", "block_transactions"])
+    def test_block_without_integer_time_is_permanent(self, call, time):
+        block = {"main_chain": True, "tx": []}
+        if time is not None:
+            block["time"] = time
+        routes = {"/block-height/7?format=json": {"blocks": [block]}}
+        with pytest.raises(ProviderError,
+                           match="^block 7 has no time field$") as info:
+            getattr(self.provider(routes), call)(7)
+        assert info.value.permanent
 
     def test_picks_main_chain_block(self):
         routes = {"/block-height/7?format=json": {"blocks": [

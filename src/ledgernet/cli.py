@@ -2,7 +2,7 @@
 
 Each step reads the previous step's artifacts from the output directory and
 is idempotent: existing outputs are left alone (with a notice) unless --force
-is given.  Provider settings resolve as flags > environment > config file;
+is given.  Provider settings resolve as flags > environment > default;
 the effective configuration is echoed into every artifact, with the API key
 redacted.
 
@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--backoff-base", type=float, default=None, metavar="SEC")
     p.add_argument("--slack", type=int, metavar="N",
                    help="blocks scanned linearly around each interval boundary")
-    p.add_argument("--config", metavar="PATH", help="JSON file with provider settings")
     common(p)
     p.set_defaults(handler=cmd_download)
 
@@ -139,38 +138,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# What a config file value must be, by the setting's ``cast``, and the
-# names of the JSON types read_json gives.
-_CONFIG_TYPES = {str: "a string", float: "a number", int: "an integer"}
-_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number",
-               str: "a string", list: "an array", dict: "an object"}
+def _setting(flag_value, env_name: str, key: str, default, cast, valid=None,
+             rule: str = ""):
+    """Resolve one setting: flag > environment > default.  An empty
+    variable counts as unset, as ``export VAR=`` means.
 
-
-def _setting(flag_value, env_name: str, file_config: dict, key: str,
-             default, cast, valid=None, rule: str = ""):
-    """Resolve one setting: flag > environment > config file > default.
-
-    A given value that fails ``valid`` is a usage error naming its source:
-    the flag ``--<key>``, the variable or the config key.  A config value
-    of the wrong JSON type is one too; its message names only the type, so
-    an API key never reaches stderr.
+    A given value that ``cast`` or ``valid`` refuses is a usage error naming
+    its source: the flag ``--<key>`` or the variable.
     """
     value, source = flag_value, "--" + key.replace("_", "-")
     if value is None:
         raw = os.environ.get(env_name)
-        source = f"environment variable {env_name}"
-        if raw is None and file_config.get(key) is not None:
-            raw, source = file_config[key], f"config key {key!r}"
-            fits = (type(raw) is str if cast is str else type(raw) in (int, float)
-                    and (cast is float or raw % 1 == 0))
-            if not fits:
-                raise UsageError(f"{source} must be {_CONFIG_TYPES[cast]}, "
-                                 f"got {_JSON_TYPES[type(raw)]}")
-        if raw is None:
+        if not raw:
             return default
+        source = f"environment variable {env_name}"
         try:
             value = cast(raw)
-        except (TypeError, ValueError, OverflowError) as exc:  # 10**400 to float
+        except ValueError as exc:  # also an int of over 4,300 digits
             raise UsageError(f"bad value for {source}: {raw!r}") from exc
     if valid is not None and not valid(value):
         raise UsageError(f"{source} must be {rule}, got {value!r}")
@@ -184,17 +168,6 @@ def _finite_non_negative(value) -> bool:
 def _rate(value) -> bool:
     from .ingestion.providers import MIN_RATE_LIMIT
     return value == 0 or math.isfinite(value) and value >= MIN_RATE_LIMIT
-
-
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        return read_json(path)
-    except ValueError as exc:  # also not UTF-8, too many digits
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    except TypeError:
-        raise UsageError(f"config file {path} must hold a JSON object") from None
 
 
 def _workers(value: int | None) -> int | None:
@@ -284,19 +257,16 @@ def cmd_download(args) -> int:
     chain = Chain(args.chain)
     chunk_size = DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
     slack = DEFAULT_SLACK if args.slack is None else args.slack
-    file_config = _load_config_file(args.config)
-    endpoint = _setting(args.endpoint, ENV_ENDPOINT, file_config,
-                        "endpoint", None, str)
-    api_key = _setting(args.api_key, ENV_API_KEY, file_config,
-                       "api_key", None, str)
-    rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, file_config, "rate_limit",
+    endpoint = _setting(args.endpoint, ENV_ENDPOINT, "endpoint", None, str)
+    api_key = _setting(args.api_key, ENV_API_KEY, "api_key", None, str)
+    rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, "rate_limit",
                           DEFAULT_RATE_LIMIT if args.fixture is None else 0.0,
                           float, _rate,
                           "0 or a finite number >= 1/86400 (one request a day)")
-    retry_cap = _setting(args.retry_cap, ENV_RETRY_CAP, file_config,
-                         "retry_cap", None, int, lambda cap: cap >= 1, ">= 1")
-    backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, file_config,
-                            "backoff_base", RetryPolicy.base_delay, float,
+    retry_cap = _setting(args.retry_cap, ENV_RETRY_CAP, "retry_cap", None, int,
+                         lambda cap: cap >= 1, ">= 1")
+    backoff_base = _setting(args.backoff_base, ENV_BACKOFF_BASE, "backoff_base",
+                            RetryPolicy.base_delay, float,
                             _finite_non_negative, "a finite number >= 0")
     worker_count = _workers(args.workers) or os.cpu_count() or 1
     if chunk_size < 1:
@@ -322,7 +292,8 @@ def cmd_download(args) -> int:
                              "e.g. an Infura-style JSON-RPC URL")
         provider = EthereumRpcProvider(endpoint, api_key)
     else:
-        provider = BitcoinApiProvider(endpoint) if endpoint else BitcoinApiProvider()
+        provider = (BitcoinApiProvider() if endpoint is None
+                    else BitcoinApiProvider(endpoint))
     if rate_limit:
         provider = ThrottledProvider(provider, TokenBucket(rate_limit))
     retry_policy = RetryPolicy(base_delay=backoff_base, max_attempts=retry_cap)

@@ -10,8 +10,8 @@ JSON-RPC endpoint, or a blockchain.info-style REST API.
 Blocks are immutable, so a provider must return the same data for the same
 height on every call.  Transient failures (network, rate limits, 5xx) raise
 ProviderError with permanent=False and are retried by the caller; conditions
-that retrying cannot fix (missing fixture block, malformed payload) set
-permanent=True.
+that retrying cannot fix (missing fixture block, malformed payload, an
+endpoint URL ``requests`` refuses before connecting) set permanent=True.
 """
 
 from __future__ import annotations
@@ -216,11 +216,15 @@ class EthereumRpcProvider(BlockProvider):
         try:
             response = self.session.post(self.url, json=body, timeout=self.timeout)
         except _requests().RequestException as exc:
-            # requests quotes the URL, key included, in the exception text
+            # requests quotes the URL, key included, in the exception text.
+            # A ValueError among them (MissingSchema, InvalidSchema,
+            # InvalidURL, InvalidHeader) refuses the request before any
+            # connection, so every retry would repeat it.
             message = str(exc)
             if self._api_key:
                 message = message.replace(self._api_key, "REDACTED")
-            raise ProviderError(f"{method} failed: {message}") from None
+            raise ProviderError(f"{method} failed: {message}",
+                                permanent=isinstance(exc, ValueError)) from None
         if response.status_code != 200:
             raise ProviderError(f"{method} returned HTTP {response.status_code}")
         try:
@@ -296,7 +300,9 @@ class BitcoinApiProvider(BlockProvider):
         try:
             response = self.session.get(url, timeout=self.timeout)
         except _requests().RequestException as exc:
-            raise ProviderError(f"GET {path} failed: {exc}") from exc
+            # A ValueError is a URL refused before connecting; see _call
+            raise ProviderError(f"GET {path} failed: {exc}",
+                                permanent=isinstance(exc, ValueError)) from exc
         if response.status_code != 200:
             raise ProviderError(f"GET {path} returned HTTP {response.status_code}")
         try:

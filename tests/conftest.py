@@ -1,8 +1,23 @@
 import random
+import socket
+
+import pytest
 
 from ledgernet.ingestion.providers import write_fixture_block, write_fixture_meta
 
 ADDR = ["0x" + ch * 40 for ch in "abcdef"]
+
+
+@pytest.fixture()
+def no_connections(monkeypatch):
+    """Fails a test that looks up a host or opens a connection: the
+    requests it makes must be refused before either."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network lookup or connection was attempted")
+
+    for name in ("getaddrinfo", "create_connection"):
+        monkeypatch.setattr(socket, name, refuse)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
 
 
 class StopAfterBlocks:

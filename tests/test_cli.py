@@ -74,14 +74,6 @@ def chunk_bytes(out):
     return {p.name: p.read_bytes() for p in list_chunk_files(out / "chunks")}
 
 
-def config_line_without_the_value(config_path, value) -> str:
-    """The one stderr line for a config file holding NaN or Infinity, which
-    strict JSON does not have; it names the token, never the value."""
-    token = "NaN" if math.isnan(value) else "Infinity"
-    return (f"usage error: config file {config_path} is not valid JSON: "
-            f"{token} is not a JSON number\n")
-
-
 class TestDownload:
     def test_writes_chunks_checkpoint_and_summary(self, fixture_dir, tmp_path,
                                                   capsys):
@@ -318,16 +310,6 @@ class TestDownload:
         assert capsys.readouterr().err == f"usage error: {line}\n"
         assert not out.exists()
 
-    def test_config_file_holding_an_array_is_a_usage_error(self, fixture_dir,
-                                                           tmp_path, capsys):
-        config_path = tmp_path / "settings.json"
-        config_path.write_text('[{"rate_limit": 5}]\n')
-        out = tmp_path / "out"
-        assert download(fixture_dir, out, "--config", config_path) == 1
-        assert capsys.readouterr().err == (f"usage error: config file {config_path} "
-                                           "must hold a JSON object\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv", [
         ["download", "--chain", "ethereum", "--fixture", "FX"],
         ["download", "--chain", "ethereum", "--fixture", "FX",
@@ -378,89 +360,6 @@ class TestDownload:
         assert "eth_blockNumber failed" in err
         assert "SECRETKEY123" not in err
 
-    def test_flag_beats_env_beats_config_file(self, fixture_dir, tmp_path,
-                                              monkeypatch):
-        config_path = tmp_path / "settings.json"
-        config_path.write_text('{"rate_limit": 5}\n')
-
-        out1 = tmp_path / "o1"
-        download(fixture_dir, out1, "--config", config_path)
-        assert read_json(out1 / "download_summary.json")["config"]["rate_limit"] == 5
-
-        monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "3")
-        out2 = tmp_path / "o2"
-        download(fixture_dir, out2, "--config", config_path)
-        assert read_json(out2 / "download_summary.json")["config"]["rate_limit"] == 3
-
-        out3 = tmp_path / "o3"
-        download(fixture_dir, out3, "--config", config_path, "--rate-limit", 7)
-        assert read_json(out3 / "download_summary.json")["config"]["rate_limit"] == 7
-
-    @pytest.mark.parametrize("content", [
-        b"\xff\xfe{}", b'{"rate_limit": ' + b"1" * 5000 + b"}", DEEP_JSON,
-    ], ids=["not-utf8", "past-the-int-digit-limit", "deeply-nested"])
-    def test_config_file_that_is_not_json_is_a_usage_error(self, fixture_dir,
-                                                           tmp_path, capsys,
-                                                           content):
-        config_path = tmp_path / "settings.json"
-        config_path.write_bytes(content)
-        assert download(fixture_dir, tmp_path / "out", "--config", config_path) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: config file {config_path} "
-                              "is not valid JSON: ")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("key, value, expected, got", [
-        ("rate_limit", True, "a number", "a boolean"),
-        ("rate_limit", "5", "a number", "a string"),
-        ("retry_cap", True, "an integer", "a boolean"),
-        ("retry_cap", 2.7, "an integer", "a number"),
-        ("retry_cap", float("inf"), "an integer", "a number"),
-        ("backoff_base", False, "a number", "a boolean"),
-        ("endpoint", 5, "a string", "a number"),
-        ("api_key", ["x-secret"], "a string", "an array"),
-        ("api_key", 12345, "a string", "a number"),
-        ("api_key", {"key": "x-secret"}, "a string", "an object"),
-    ])
-    def test_config_value_of_the_wrong_json_type_is_a_usage_error(
-            self, fixture_dir, tmp_path, capsys, key, value, expected, got):
-        config_path = tmp_path / "settings.json"
-        config_path.write_text(json.dumps({key: value}))
-        out = tmp_path / "out"
-        assert download(fixture_dir, out, "--config", config_path) == 1
-        if value == math.inf:
-            expected_line = config_line_without_the_value(config_path, value)
-        else:
-            expected_line = (f"usage error: config key {key!r} must be "
-                             f"{expected}, got {got}\n")
-        assert capsys.readouterr().err == expected_line
-        assert not out.exists()
-
-    def test_config_number_too_large_for_a_float_is_a_usage_error(
-            self, fixture_dir, tmp_path, capsys):
-        config_path = tmp_path / "settings.json"
-        config_path.write_text('{"rate_limit": 1%s}' % ("0" * 400))
-        out = tmp_path / "out"
-        assert download(fixture_dir, out, "--config", config_path) == 1
-        assert capsys.readouterr().err == (
-            "usage error: bad value for config key 'rate_limit': 1%s\n" % ("0" * 400))
-        assert not out.exists()
-
-    def test_config_value_of_the_right_json_type_is_taken(self, fixture_dir,
-                                                          tmp_path):
-        config_path = tmp_path / "settings.json"
-        config_path.write_text(json.dumps({
-            "rate_limit": 0, "retry_cap": 2.0, "backoff_base": 0.5,
-            "endpoint": "http://localhost:1", "api_key": "x-secret"}))
-        out = tmp_path / "out"
-        assert download(fixture_dir, out, "--config", config_path) == 0
-        config = read_json(out / "download_summary.json")["config"]
-        assert (config["rate_limit"], config["retry_cap"], config["backoff_base"],
-                config["endpoint"], config["api_key"]) == (
-            0.0, 2, 0.5, "http://localhost:1", "REDACTED")
-        assert type(config["retry_cap"]) is int
-
     def test_bad_env_value_is_usage_error(self, fixture_dir, tmp_path,
                                           monkeypatch, capsys):
         monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "fast")
@@ -474,7 +373,7 @@ class TestDownload:
         ("backoff_base", -1.0), ("backoff_base", float("nan")),
         ("backoff_base", float("inf")),
     ])
-    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
     def test_bad_provider_setting_is_usage_error(self, fixture_dir, tmp_path,
                                                  monkeypatch, capsys, key,
                                                  bad, source):
@@ -482,22 +381,113 @@ class TestDownload:
         if source == "flag":
             named = "--" + key.replace("_", "-")
             extra = [named, bad]
-        elif source == "environment":
+        else:
             monkeypatch.setenv(f"LEDGERNET_{key.upper()}", str(bad))
             named = f"environment variable LEDGERNET_{key.upper()}"
-        else:
-            named = f"config key {key!r}"
-            config_path = tmp_path / "settings.json"
-            config_path.write_text(json.dumps({key: bad}))  # NaN, Infinity
-            extra = ["--config", config_path]
         out = tmp_path / "out"
         assert download(fixture_dir, out, *extra) == 1
         err = capsys.readouterr().err
-        if source == "config" and not math.isfinite(bad):
-            assert err == config_line_without_the_value(config_path, bad)
-        else:
-            assert err.startswith(f"usage error: {named} must be ")
-            assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
+        assert err.startswith(f"usage error: {named} must be ")
+        assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_flag_is_refused(self, fixture_dir, tmp_path, capsys):
+        config_path = tmp_path / "settings.json"
+        config_path.write_text('{"rate_limit": 5}\n')
+        out = tmp_path / "out"
+        assert download(fixture_dir, out, "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--config" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, default, env_value, flag_value", [
+        ("endpoint", None, "http://env.example", "http://flag.example"),
+        ("rate_limit", 0.0, 3.0, 7.0),
+        ("retry_cap", None, 4, 2),
+        ("backoff_base", 0.5, 0.25, 2.0),
+    ])
+    def test_flag_beats_env_beats_default(self, fixture_dir, tmp_path,
+                                          monkeypatch, key, default,
+                                          env_value, flag_value):
+        def echoed(out, *extra):
+            assert download(fixture_dir, out, *extra) == 0
+            return read_json(out / "download_summary.json")["config"].get(key)
+
+        assert echoed(tmp_path / "o1") == default
+        monkeypatch.setenv(f"LEDGERNET_{key.upper()}", str(env_value))
+        assert echoed(tmp_path / "o2") == env_value
+        flag = "--" + key.replace("_", "-")
+        assert echoed(tmp_path / "o3", flag, flag_value) == flag_value
+
+    def test_api_key_flag_beats_env_beats_default(self, tmp_path, monkeypatch):
+        posted = []
+
+        class RefusingSession:
+            def post(self, url, json=None, timeout=None):
+                posted.append(url)
+                raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(requests, "Session", RefusingSession)
+
+        def post_url(*extra):
+            assert run_cli("download", "--chain", "ethereum",
+                           "--endpoint", "https://rpc.example/v3",
+                           "--from-block", 0, "--to-block", 0,
+                           "--retry-cap", 1, "--rate-limit", 0,
+                           "--output-dir", tmp_path / "out", *extra) == 2
+            return posted.pop()
+
+        assert post_url() == "https://rpc.example/v3"
+        monkeypatch.setenv("LEDGERNET_API_KEY", "envkey")
+        assert post_url() == "https://rpc.example/v3/envkey"
+        assert post_url("--api-key", "flagkey") == "https://rpc.example/v3/flagkey"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_api_key_variable_counts_as_unset(self, fixture_dir, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("LEDGERNET_API_KEY", "")
+        out = tmp_path / "out"
+        assert download(fixture_dir, out) == 0
+        assert "api_key" not in read_json(out / "download_summary.json")["config"]
+
+    def test_empty_rate_limit_variable_counts_as_unset(self, fixture_dir,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.setenv("LEDGERNET_RATE_LIMIT", "")
+        out = tmp_path / "out"
+        assert download(fixture_dir, out) == 0
+        config = read_json(out / "download_summary.json")["config"]
+        assert config["rate_limit"] == 0.0
+
+    def test_empty_endpoint_variable_counts_as_unset(self, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setenv("LEDGERNET_ENDPOINT", "")
+        out = tmp_path / "out"
+        # The cap bounds the retries of a request the empty URL would make
+        assert run_cli("download", "--chain", "ethereum", "--from-block", 0,
+                       "--to-block", 4, "--retry-cap", 1,
+                       "--output-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "usage error: ethereum needs --endpoint (or LEDGERNET_ENDPOINT), "
+            "e.g. an Infura-style JSON-RPC URL\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chain, request_name", [
+        ("ethereum", "eth_blockNumber"), ("bitcoin", "GET /latestblock")])
+    @pytest.mark.parametrize("endpoint", [
+        "", "rpc.example/v3", "ftp://rpc.example", "http://"],
+        ids=["empty", "no-scheme", "ftp", "no-host"])
+    def test_malformed_endpoint_fails_at_once(self, tmp_path, capsys,
+                                              no_connections, chain,
+                                              request_name, endpoint):
+        out = tmp_path / "out"
+        code = run_cli("download", "--chain", chain, "--endpoint", endpoint,
+                       "--from-block", 0, "--to-block", 4, "--retry-cap", 3,
+                       "--backoff-base", 0, "--output-dir", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {request_name} failed: ")
+        assert "attempts" not in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_negative_slack_is_usage_error(self, fixture_dir, tmp_path, capsys):

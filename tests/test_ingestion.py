@@ -1686,6 +1686,32 @@ def test_body_that_is_not_strict_json_is_a_transient_error(chain, body):
     assert not info.value.permanent
 
 
+@pytest.mark.parametrize("endpoint", [
+    "", "rpc.example/v3", "ftp://rpc.example", "http://"],
+    ids=["empty", "no-scheme", "ftp", "no-host"])
+@pytest.mark.parametrize("chain", [ETH, BTC])
+def test_malformed_endpoint_is_a_permanent_error(chain, endpoint, no_connections):
+    if chain is ETH:
+        provider = EthereumRpcProvider(endpoint, session=requests.Session())
+        message = "eth_blockNumber failed: "
+    else:
+        provider = BitcoinApiProvider(endpoint, session=requests.Session())
+        message = "GET /latestblock failed: "
+    with pytest.raises(ProviderError, match=f"^{message}") as info:
+        provider.latest_height()
+    assert info.value.permanent
+
+
+def test_malformed_endpoint_error_does_not_leak_api_key(no_connections):
+    provider = EthereumRpcProvider("rpc.example/v3", "SECRETKEY123",
+                                   session=requests.Session())
+    with pytest.raises(ProviderError) as info:
+        provider.latest_height()
+    assert info.value.permanent
+    assert "SECRETKEY123" not in str(info.value)
+    assert "rpc.example/v3/REDACTED" in str(info.value)
+
+
 def reply_provider(chain, block_at):
     """The network provider of ``chain`` on a stub session whose reply to a
     block request is ``block_at(height)``: the JSON-RPC result, or the REST

@@ -391,6 +391,30 @@ class TestDownload:
         assert err.endswith(f", got {bad!r}\n") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, raw, message", [
+        # int() refuses a string of more than 4,300 digits with ValueError
+        ("retry_cap", "9" * 4301, "bad value for environment variable "
+                                  "LEDGERNET_RETRY_CAP: '999"),
+        # float() reads 1e999 as inf, which the finite checks refuse
+        ("rate_limit", "1e999", "environment variable LEDGERNET_RATE_LIMIT "
+                                "must be "),
+        ("backoff_base", "1e999", "environment variable "
+                                  "LEDGERNET_BACKOFF_BASE must be "),
+    ])
+    def test_env_number_out_of_range_is_a_usage_error(self, fixture_dir,
+                                                      tmp_path, monkeypatch,
+                                                      capsys, key, raw,
+                                                      message):
+        monkeypatch.setenv(f"LEDGERNET_{key.upper()}", raw)
+        out = tmp_path / "out"
+        assert download(fixture_dir, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if raw == "1e999":
+            assert err.endswith(", got inf\n")
+        assert not out.exists()
+
     def test_config_flag_is_refused(self, fixture_dir, tmp_path, capsys):
         config_path = tmp_path / "settings.json"
         config_path.write_text('{"rate_limit": 5}\n')

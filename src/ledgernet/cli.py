@@ -105,8 +105,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--retry-cap", type=int, default=None, metavar="N",
                    help="max attempts per request (default: retry forever)")
     p.add_argument("--backoff-base", type=float, default=None, metavar="SEC")
-    p.add_argument("--slack", type=int, metavar="N",
-                   help="blocks scanned linearly around each interval boundary")
     common(p)
     p.set_defaults(handler=cmd_download)
 
@@ -221,15 +219,12 @@ def _skip_existing(path, force: bool) -> bool:
 def _report_path(args, name: str) -> Path | None:
     """Check the flags analyze and compare share, then the report path:
     ``--output``, or ``name`` beside the graph; None when an existing report
-    is kept.  The report's directory is created."""
+    is kept."""
     _workers(args.workers)
     if args.sample_sources is not None and args.sample_sources < 1:
         raise UsageError(f"--sample-sources must be >= 1, got {args.sample_sources}")
     output = Path(args.output) if args.output else Path(args.graph).parent / name
-    if _skip_existing(output, args.force):
-        return None
-    output.parent.mkdir(parents=True, exist_ok=True)
-    return output
+    return None if _skip_existing(output, args.force) else output
 
 
 def _report_head(graph_file, digest: str) -> dict:
@@ -249,14 +244,13 @@ def cmd_download(args) -> int:
 
     from .ingestion.checkpoint import Checkpoint
     from .ingestion.chunks import list_chunk_files
-    from .ingestion.download import (DEFAULT_CHUNK_SIZE, DEFAULT_SLACK, BlockRange,
-                                     RetryPolicy, TimeInterval, call_with_retry,
-                                     plan_tasks, resolve_block_range, run_download)
+    from .ingestion.download import (DEFAULT_CHUNK_SIZE, BlockRange, RetryPolicy,
+                                     TimeInterval, call_with_retry, plan_tasks,
+                                     resolve_block_range, run_download)
     from .ingestion.providers import (BitcoinApiProvider, EthereumRpcProvider,
                                       FixtureProvider, ThrottledProvider, TokenBucket)
     chain = Chain(args.chain)
     chunk_size = DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
-    slack = DEFAULT_SLACK if args.slack is None else args.slack
     endpoint = _setting(args.endpoint, ENV_ENDPOINT, "endpoint", None, str)
     api_key = _setting(args.api_key, ENV_API_KEY, "api_key", None, str)
     rate_limit = _setting(args.rate_limit, ENV_RATE_LIMIT, "rate_limit",
@@ -271,8 +265,6 @@ def cmd_download(args) -> int:
     worker_count = _workers(args.workers) or os.cpu_count() or 1
     if chunk_size < 1:
         raise UsageError(f"--chunk-size must be >= 1, got {chunk_size}")
-    if slack < 0:
-        raise UsageError(f"--slack must be >= 0, got {slack}")
 
     by_block = args.from_block is not None or args.to_block is not None
     by_time = args.from_time is not None or args.to_time is not None
@@ -312,8 +304,7 @@ def cmd_download(args) -> int:
             interval = TimeInterval(args.from_time, args.to_time)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        block_range = resolve_block_range(interval, provider,
-                                          slack=slack, policy=retry_policy)
+        block_range = resolve_block_range(interval, provider, policy=retry_policy)
         print(f"interval [{args.from_time}, {args.to_time}] covers blocks "
               f"{block_range.first}..{block_range.last}")
 
@@ -362,7 +353,7 @@ def cmd_download(args) -> int:
             api_key=api_key, rate_limit=rate_limit, retry_cap=retry_cap,
             backoff_base=backoff_base, from_block=args.from_block,
             to_block=args.to_block, from_time=args.from_time,
-            to_time=args.to_time, slack=slack, chunk_size=chunk_size,
+            to_time=args.to_time, chunk_size=chunk_size,
             worker_count=worker_count, output_dir=str(out_dir)),
         "block_range": {"first": block_range.first, "last": block_range.last},
         "chunks_total": planned,
@@ -455,6 +446,7 @@ def cmd_analyze(args) -> int:
     doc["config"] = _echo(graph_format=fmt, seed=args.seed,
                           sample_sources=args.sample_sources)
     doc.update(report.to_json_dict())
+    output.parent.mkdir(parents=True, exist_ok=True)
     write_json(output, doc, indent=2)
     acc = "undefined" if report.graph_acc is None else f"{report.graph_acc:.6g}"
     aspl_text = ("undefined" if report.main_component_aspl is None
@@ -536,6 +528,7 @@ def cmd_compare(args) -> int:
                           sample_sources=args.sample_sources)
     doc["subject_source"] = source
     doc.update(comparison.to_json_dict())
+    output.parent.mkdir(parents=True, exist_ok=True)
     write_json(output, doc, indent=2)
     verdict = comparison.verdict
     answer = "IS" if verdict.is_small_world else "is NOT"

@@ -156,6 +156,13 @@ def import_graph(path, fmt: str | None = None) -> InteractionGraph:
     return _parse_pajek(text, path)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, cut to 80 characters and "..." when longer: an error
+    quotes the start of a bad input, never a whole one-line file."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _require(condition: bool, message: str, path, line=None, offset=None) -> None:
     if not condition:
         raise ParseError(message, path=path, line=line, offset=offset)
@@ -178,13 +185,13 @@ def _parse_json(text: str, path) -> InteractionGraph:
         raise ParseError(str(exc), path=path) from exc
     _require(isinstance(doc, dict), "top-level value is not an object", path)
     unknown = set(doc) - {"chain", "vertices", "edges"}
-    _require(not unknown, f"unknown keys: {sorted(unknown)}", path)
+    _require(not unknown, f"unknown keys: {_shown(sorted(unknown))}", path)
     chain = doc.get("chain")
     if chain is not None:
         try:
             chain = Chain(chain)
         except ValueError:
-            raise ParseError(f"unknown chain: {chain!r}", path=path) from None
+            raise ParseError(f"unknown chain: {_shown(chain)}", path=path) from None
     vertices = doc.get("vertices")
     edges = doc.get("edges")
     _require(isinstance(vertices, list), '"vertices" missing or not a list', path)
@@ -193,32 +200,32 @@ def _parse_json(text: str, path) -> InteractionGraph:
     ids = graph._ids
     for key in vertices:
         if not (isinstance(key, str) and key):
-            raise ParseError(f"bad vertex key: {key!r}", path=path)
+            raise ParseError(f"bad vertex key: {_shown(key)}", path=path)
         if key in ids:
-            raise ParseError(f"duplicate vertex: {key!r}", path=path)
+            raise ParseError(f"duplicate vertex: {_shown(key)}", path=path)
         graph.intern_node(key)
     insert = graph.insert_edge
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f"edge is not a [key, key, amount] triple: {entry!r}",
-                             path=path)
+            raise ParseError("edge is not a [key, key, amount] triple: "
+                             f"{_shown(entry)}", path=path)
         key_a, key_b, amount = entry
         if not isinstance(key_a, str):
-            problem = f"bad edge endpoint: {key_a!r}"
+            problem = f"bad edge endpoint: {_shown(key_a)}"
         elif (a := ids.get(key_a)) is None:
-            problem = f"edge names unlisted vertex: {key_a!r}"
+            problem = f"edge names unlisted vertex: {_shown(key_a)}"
         elif not isinstance(key_b, str):
-            problem = f"bad edge endpoint: {key_b!r}"
+            problem = f"bad edge endpoint: {_shown(key_b)}"
         elif (b := ids.get(key_b)) is None:
-            problem = f"edge names unlisted vertex: {key_b!r}"
+            problem = f"edge names unlisted vertex: {_shown(key_b)}"
         elif type(amount) is not int or amount < 0:
-            problem = f"bad edge amount: {amount!r}"
+            problem = f"bad edge amount: {_shown(amount)}"
         elif a == b:
-            problem = f"self-loop on vertex {key_a!r}"
+            problem = f"self-loop on vertex {_shown(key_a)}"
         elif insert(a, b, amount):
             continue
         else:
-            problem = f"duplicate edge {key_a!r} - {key_b!r}"
+            problem = f"duplicate edge {_shown(key_a)} - {_shown(key_b)}"
         raise ParseError(problem, path=path)
     return graph
 
@@ -231,7 +238,8 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
     header = lines[0]
     _require(header.startswith("*Vertices ") and header[10:].isascii()
              and header[10:].isdigit(),
-             f"expected '*Vertices <n>', got {header!r}", path, line=1, offset=1)
+             f"expected '*Vertices <n>', got {_shown(header)}", path,
+             line=1, offset=1)
     count = _int(header[10:], path, 1)
     _require(len(lines) >= count + 2,
              f"file ends inside the {count}-vertex section", path,
@@ -243,25 +251,25 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         match = vertex_line(lines[idx])
         offset = 1
         if match is None:
-            problem = f"bad vertex line: {lines[idx]!r}"
+            problem = f"bad vertex line: {_shown(lines[idx])}"
         elif _int(match.group(1), path, idx + 1) != idx:
             problem = f"vertex IDs must run 1..{count}; got {match.group(1)}"
         elif not (key := match.group(2)) or key in ids:
-            problem = f"empty or duplicate vertex key: {key!r}"
+            problem = f"empty or duplicate vertex key: {_shown(key)}"
             offset = len(match.group(1)) + 2
         else:
             graph.intern_node(key)
             continue
         raise ParseError(problem, path=path, line=idx + 1, offset=offset)
     _require(lines[count + 1] == "*Edges",
-             f"expected '*Edges', got {lines[count + 1]!r}", path,
+             f"expected '*Edges', got {_shown(lines[count + 1])}", path,
              line=count + 2, offset=1)
     edge_line = _PAJEK_EDGE.match
     insert = graph.insert_edge
     for idx in range(count + 2, len(lines)):
         match = edge_line(lines[idx])
         if match is None:
-            raise ParseError(f"bad edge line: {lines[idx]!r}", path=path,
+            raise ParseError(f"bad edge line: {_shown(lines[idx])}", path=path,
                              line=idx + 1, offset=1)
         try:
             a, b, amount = map(int, match.groups())

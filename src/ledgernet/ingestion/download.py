@@ -36,7 +36,7 @@ from .chunks import chunk_filename, write_chunk
 from .providers import BlockProvider
 
 DEFAULT_CHUNK_SIZE = 100
-DEFAULT_SLACK = 128
+SLACK = 128
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,13 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
 
 
 def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,
-                        slack: int = DEFAULT_SLACK,
                         policy: RetryPolicy | None = None,
                         sleep=time.sleep) -> BlockRange:
     """Find the blocks whose timestamps fall inside the interval.
 
     Binary search over headers assumes timestamps are non-decreasing; chains
     exhibit small local inversions, so each boundary is corrected by a linear
-    scan over ``slack`` neighboring blocks.
+    scan over ``SLACK`` neighboring blocks.
     """
     headers: dict[int, int] = {}
 
@@ -185,13 +184,13 @@ def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,
             f"no blocks in [{interval.start}, {interval.end}]")
 
     first = bisect_left(range(latest + 1), interval.start, key=stamp)
-    for height in range(max(0, first - slack), first):
+    for height in range(max(0, first - SLACK), first):
         if stamp(height) >= interval.start:
             first = height
             break
 
     last = bisect_right(range(latest + 1), interval.end, key=stamp) - 1
-    for height in range(min(latest, last + slack), last, -1):
+    for height in range(min(latest, last + SLACK), last, -1):
         if stamp(height) <= interval.end:
             last = height
             break

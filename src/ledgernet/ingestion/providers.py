@@ -191,6 +191,28 @@ def write_fixture_meta(root, chain: Chain | str) -> Path:
     return path
 
 
+def _reply(what: str, send, secret: str | None = None):
+    """The strict-JSON body of the reply ``send()`` gets to request ``what``;
+    else a ProviderError that chains nothing and never quotes ``secret``.
+    A ``requests`` ValueError (MissingSchema, InvalidSchema, InvalidURL,
+    InvalidHeader) refuses the request before connecting, so it is
+    permanent; any other ``requests`` error, a status other than 200 and a
+    body that is not strict JSON are transient."""
+    try:
+        response = send()
+    except _requests().RequestException as exc:
+        # requests quotes the URL, key included, in the exception text
+        message = str(exc).replace(secret, "REDACTED") if secret else str(exc)
+        raise ProviderError(f"{what} failed: {message}",
+                            permanent=isinstance(exc, ValueError)) from None
+    if response.status_code != 200:
+        raise ProviderError(f"{what} returned HTTP {response.status_code}")
+    try:
+        return parse_json(response.text)
+    except ValueError:
+        raise ProviderError(f"{what} returned non-JSON body") from None
+
+
 class EthereumRpcProvider(BlockProvider):
     """Ethereum blocks over JSON-RPC (Infura-style endpoints).
 
@@ -213,24 +235,8 @@ class EthereumRpcProvider(BlockProvider):
     def _call(self, method: str, params: list):
         # Each POST gets its own reply, so the id pairs nothing and is constant
         body = {"jsonrpc": "2.0", "id": 1, "method": method, "params": params}
-        try:
-            response = self.session.post(self.url, json=body, timeout=self.timeout)
-        except _requests().RequestException as exc:
-            # requests quotes the URL, key included, in the exception text.
-            # A ValueError among them (MissingSchema, InvalidSchema,
-            # InvalidURL, InvalidHeader) refuses the request before any
-            # connection, so every retry would repeat it.
-            message = str(exc)
-            if self._api_key:
-                message = message.replace(self._api_key, "REDACTED")
-            raise ProviderError(f"{method} failed: {message}",
-                                permanent=isinstance(exc, ValueError)) from None
-        if response.status_code != 200:
-            raise ProviderError(f"{method} returned HTTP {response.status_code}")
-        try:
-            doc = parse_json(response.text)
-        except ValueError as exc:
-            raise ProviderError(f"{method} returned non-JSON body") from exc
+        doc = _reply(method, lambda: self.session.post(
+            self.url, json=body, timeout=self.timeout), self._api_key)
         if not isinstance(doc, dict) or ("result" not in doc and "error" not in doc):
             raise ProviderError(f"{method} returned a malformed JSON-RPC response")
         if doc.get("error"):
@@ -296,19 +302,8 @@ class BitcoinApiProvider(BlockProvider):
         self.timeout = timeout
 
     def _get(self, path: str):
-        url = f"{self.url}{path}"
-        try:
-            response = self.session.get(url, timeout=self.timeout)
-        except _requests().RequestException as exc:
-            # A ValueError is a URL refused before connecting; see _call
-            raise ProviderError(f"GET {path} failed: {exc}",
-                                permanent=isinstance(exc, ValueError)) from exc
-        if response.status_code != 200:
-            raise ProviderError(f"GET {path} returned HTTP {response.status_code}")
-        try:
-            return parse_json(response.text)
-        except ValueError as exc:
-            raise ProviderError(f"GET {path} returned non-JSON body") from exc
+        return _reply(f"GET {path}", lambda: self.session.get(
+            f"{self.url}{path}", timeout=self.timeout))
 
     def latest_height(self) -> int:
         doc = self._get("/latestblock")
@@ -317,29 +312,25 @@ class BitcoinApiProvider(BlockProvider):
             raise ProviderError(f"latestblock returned no height: {doc!r}")
         return height
 
-    def _block(self, height: int) -> dict:
+    def _block(self, height: int) -> tuple[dict, int]:
+        """The main-chain block at ``height`` (else the first listed) and
+        its ``time``."""
         doc = self._get(f"/block-height/{height}?format=json")
         blocks = doc.get("blocks") if isinstance(doc, dict) else None
         if not blocks:
             raise ProviderError(f"no block at height {height}", permanent=True)
-        for block in _objects(blocks, height):
-            if block.get("main_chain", True):
-                return block
-        return blocks[0]
+        block = next((block for block in _objects(blocks, height)
+                      if block.get("main_chain", True)), blocks[0])
+        if type(block.get("time")) is not int:
+            raise ProviderError(f"block {height} has no time field",
+                                permanent=True)
+        return block, block["time"]
 
     def block_header(self, height: int) -> int:
-        timestamp = self._block(height).get("time")
-        if type(timestamp) is not int:
-            raise ProviderError(f"block {height} has no time field",
-                                permanent=True)
-        return timestamp
+        return self._block(height)[1]
 
     def block_transactions(self, height: int) -> list[tuple]:
-        block = self._block(height)
-        timestamp = block.get("time")
-        if type(timestamp) is not int:
-            raise ProviderError(f"block {height} has no time field",
-                                permanent=True)
+        block, timestamp = self._block(height)
         records = []
         try:
             for entry in _objects(block.get("tx", []), height):

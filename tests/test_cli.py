@@ -93,17 +93,16 @@ class TestDownload:
         assert doc["config"]["chain"] == "ethereum"
         assert "downloaded 10 blocks" in capsys.readouterr().out
 
-    def test_chunk_size_and_slack_default_to_the_download_constants(
-            self, fixture_dir, tmp_path):
-        from ledgernet.ingestion.download import DEFAULT_CHUNK_SIZE, DEFAULT_SLACK
+    def test_chunk_size_defaults_to_the_download_constant(self, fixture_dir,
+                                                           tmp_path):
+        from ledgernet.ingestion.download import DEFAULT_CHUNK_SIZE
 
         out = tmp_path / "out"
         assert run_cli("download", "--chain", "ethereum", "--fixture", fixture_dir,
                        "--from-block", 0, "--to-block", 9, "--rate-limit", 0,
                        "--output-dir", out) == 0
         config = read_json(out / "download_summary.json")["config"]
-        assert (config["chunk_size"], config["slack"]) == (DEFAULT_CHUNK_SIZE,
-                                                           DEFAULT_SLACK)
+        assert config["chunk_size"] == DEFAULT_CHUNK_SIZE
         assert read_json(out / "checkpoint.json")["chunk_size"] == DEFAULT_CHUNK_SIZE
 
     def test_rerun_is_a_no_op(self, fixture_dir, tmp_path, capsys):
@@ -514,10 +513,12 @@ class TestDownload:
         assert "attempts" not in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_negative_slack_is_usage_error(self, fixture_dir, tmp_path, capsys):
+    def test_slack_flag_is_refused(self, fixture_dir, tmp_path, capsys):
+        # the boundary scan's width is the module constant download.SLACK
         out = tmp_path / "out"
-        assert download(fixture_dir, out, "--slack", -1) == 1
-        assert capsys.readouterr().err == "usage error: --slack must be >= 0, got -1\n"
+        assert download(fixture_dir, out, "--slack", 5) == 1
+        assert capsys.readouterr().err == (
+            "usage error: ledgernet: unrecognized arguments: --slack 5\n")
         assert not out.exists()
 
     def test_fixture_download_is_not_throttled_by_default(self, fixture_dir,
@@ -1334,13 +1335,13 @@ class TestEcho:
                        "--output-dir", out) == 0
         assert list(read_json(out / "download_summary.json")["config"]) == [
             "chain", "fixture", "endpoint", "api_key", "rate_limit", "retry_cap",
-            "backoff_base", "from_time", "to_time", "slack", "chunk_size",
+            "backoff_base", "from_time", "to_time", "chunk_size",
             "worker_count", "output_dir"]
         out = tmp_path / "by_block"
         download(fixture_dir, out)
         assert list(read_json(out / "download_summary.json")["config"]) == [
             "chain", "fixture", "rate_limit", "backoff_base", "from_block",
-            "to_block", "slack", "chunk_size", "worker_count", "output_dir"]
+            "to_block", "chunk_size", "worker_count", "output_dir"]
 
     def test_report_head_and_config_key_order(self, built):
         head = ["tool", "tool_version", "generated_at", "graph_file", "graph_sha256"]
@@ -1384,6 +1385,16 @@ class TestGraphCommands:
                        "--output", output) == 0
         assert read_json(output)["graph_file"] == str(built / "graph.json")
         assert list(output.parent.iterdir()) == [output]
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_failure_creates_no_output_directory(self, tmp_path, capsys, command):
+        graph = tmp_path / "bad.json"
+        graph.write_text('{"vertices": [1], "edges": []}\n')
+        output = tmp_path / "new" / "report.json"
+        assert run_cli(command, "--graph", graph, "--output", output) == 2
+        assert capsys.readouterr().err == (
+            f"error: {graph}: bad vertex key: 1\n")
+        assert not output.parent.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     def test_output_dir_is_a_usage_error(self, built, tmp_path, capsys, command):

@@ -308,6 +308,22 @@ class TestImportGraph:
         assert info.value.offset == offset
         assert str(info.value) == f"{path}: line {bad_line}, column {offset}: {message}"
 
+    @pytest.mark.parametrize("fmt, body, quoted", [
+        ("pajek", '{"vertices":["' + "A" * 1_000_000 + '"],"edges":[]}',
+         "expected '*Vertices <n>', got '{\"vertices\":[\"" + "A" * 65 + "..."),
+        ("json", '{"vertices":[["' + "A" * 1_000_000 + '"]],"edges":[]}',
+         "bad vertex key: ['" + "A" * 78 + "..."),
+    ], ids=["pajek-header", "json-vertex-key"])
+    def test_error_quotes_at_most_the_start_of_a_long_input(
+            self, tmp_path, capsys, fmt, body, quoted):
+        from ledgernet import cli
+        path = tmp_path / "g.json"
+        path.write_text(body)  # about 1 MB on one line
+        assert cli.main(["analyze", "--graph", str(path), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300
+        assert err.endswith(f": {quoted}\n")
+
     JSON_ERRORS = [
         ('[]', "top-level value is not an object"),
         ('{"vertices":["A","A"],"edges":[]}', "duplicate vertex: 'A'"),

@@ -1,13 +1,14 @@
 """What importing ledgernet loads, which modules may start process or
-thread pools, which may parse or serialise JSON, and which may check a
-transfer.
+thread pools, which may parse or serialise JSON, which may check a
+transfer, and which may classify a failed network request.
 
 Analysis is pure-Python graph walking, which the GIL serialises, so a pool
 there only costs time.  Downloads wait on the network, so their threads pay.
 JSON goes through ``formats``, so every input, network replies too, is read
 as strict JSON and every output replaced atomically in one place.  A
 transfer is checked and its keys canonicalized by ``graph.transfer_record``,
-called only where provider records and chunk lines enter.
+called only where provider records and chunk lines enter.  A network
+request is sent, and its failure classified, by ``providers._reply`` alone.
 """
 
 import ast
@@ -26,6 +27,7 @@ PACKAGE = Path(cli.__file__).parent
 POOL_MODULES = ("concurrent", "multiprocessing")
 JSON_FUNCTIONS = ("load", "loads", "dump", "dumps")
 TRANSFER_RULES = ("canonicalize_address", "transfer_record")
+REQUEST_RULES = ("RequestException", "status_code")
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -78,10 +80,10 @@ def test_only_formats_parses_json_and_fixture_writers_serialise_it_too():
                            "ingestion/providers.py:write_fixture_meta"}
 
 
-def transfer_rule_uses(path: Path) -> set[str]:
-    """``<owner>:<name>`` for each use of a name in TRANSFER_RULES in ``path``
-    (a call, a reference or a from-import); the owner is the top-level def
-    or class around it."""
+def name_uses(path: Path, rules: tuple[str, ...]) -> set[str]:
+    """``<owner>:<name>`` for each use of a name in ``rules`` in ``path``
+    (a call, a reference, an attribute or a from-import); the owner is the
+    top-level def or class around it."""
     uses = set()
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = getattr(top, "name", "<module>")
@@ -94,14 +96,14 @@ def transfer_rule_uses(path: Path) -> set[str]:
                 names = [node.attr]
             else:
                 continue
-            uses.update(f"{owner}:{name}" for name in names if name in TRANSFER_RULES)
+            uses.update(f"{owner}:{name}" for name in names if name in rules)
     return uses
 
 
 def test_only_graph_canonicalizes_and_two_readers_check_transfers():
     # a provider returns raw records and fetch_block_transactions checks
     # them, so no copy of the rules for a valid transfer can drift
-    uses = {path.relative_to(PACKAGE).as_posix(): transfer_rule_uses(path)
+    uses = {path.relative_to(PACKAGE).as_posix(): name_uses(path, TRANSFER_RULES)
             for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: found for name, found in uses.items()
             if found and name != "graph.py"} == {
@@ -110,6 +112,16 @@ def test_only_graph_canonicalizes_and_two_readers_check_transfers():
         "ingestion/download.py": {"<module>:transfer_record",
                                   "fetch_block_transactions:transfer_record"},
     }
+
+
+def test_only_reply_catches_request_errors_and_reads_status_codes():
+    # _call and _get hand _reply a send callable, so the rules for a failed
+    # request (permanent or transient, the key redacted) have one copy
+    uses = {path.relative_to(PACKAGE).as_posix(): name_uses(path, REQUEST_RULES)
+            for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {
+        "ingestion/providers.py": {"_reply:RequestException",
+                                   "_reply:status_code"}}
 
 
 def test_no_json_method_call_bypasses_formats():

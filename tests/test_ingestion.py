@@ -1686,6 +1686,34 @@ def test_body_that_is_not_strict_json_is_a_transient_error(chain, body):
     assert not info.value.permanent
 
 
+@pytest.mark.parametrize("failure, ending", [
+    ("connection-error", "failed: boom"), ("http-503", "returned HTTP 503"),
+    ("not-json", "returned non-JSON body")], ids=["connection-error", "http-503",
+                                                  "not-json"])
+@pytest.mark.parametrize("chain, request_name", [(ETH, "eth_blockNumber"),
+                                                 (BTC, "GET /latestblock")],
+                         ids=["ethereum", "bitcoin"])
+def test_request_failure_is_transient_and_chains_nothing(chain, request_name,
+                                                         failure, ending):
+    class Session:
+        def get(self, url, json=None, timeout=None):
+            if failure == "connection-error":
+                raise requests.ConnectionError("boom")
+            return response(None, 503) if failure == "http-503" else response(
+                None, body="{")
+
+        post = get
+
+    provider = (EthereumRpcProvider("https://rpc.example/v3", "KEY",
+                                    session=Session())
+                if chain is ETH else BitcoinApiProvider(session=Session()))
+    with pytest.raises(ProviderError) as info:
+        provider.latest_height()
+    assert str(info.value) == f"{request_name} {ending}"
+    assert info.value.permanent is False
+    assert info.value.__cause__ is None
+
+
 @pytest.mark.parametrize("endpoint", [
     "", "rpc.example/v3", "ftp://rpc.example", "http://"],
     ids=["empty", "no-scheme", "ftp", "no-host"])

@@ -244,11 +244,11 @@ def cmd_download(args) -> int:
 
     from .ingestion.checkpoint import Checkpoint
     from .ingestion.chunks import list_chunk_files
-    from .ingestion.download import (DEFAULT_CHUNK_SIZE, BlockRange, RetryPolicy,
-                                     TimeInterval, call_with_retry, plan_tasks,
+    from .ingestion.download import (DEFAULT_CHUNK_SIZE, BlockRange, RetryingProvider,
+                                     RetryPolicy, TimeInterval, plan_tasks,
                                      resolve_block_range, run_download)
     from .ingestion.providers import (BitcoinApiProvider, EthereumRpcProvider,
-                                      FixtureProvider, ThrottledProvider, TokenBucket)
+                                      FixtureProvider, TokenBucket)
     chain = Chain(args.chain)
     chunk_size = DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
     endpoint = _setting(args.endpoint, ENV_ENDPOINT, "endpoint", None, str)
@@ -286,16 +286,18 @@ def cmd_download(args) -> int:
     else:
         provider = (BitcoinApiProvider() if endpoint is None
                     else BitcoinApiProvider(endpoint))
-    if rate_limit:
-        provider = ThrottledProvider(provider, TokenBucket(rate_limit))
-    retry_policy = RetryPolicy(base_delay=backoff_base, max_attempts=retry_cap)
+    # Set by Ctrl-C during the download: it also ends a retry's backoff wait
+    stop_event = threading.Event()
+    provider = RetryingProvider(
+        provider, RetryPolicy(base_delay=backoff_base, max_attempts=retry_cap),
+        TokenBucket(rate_limit) if rate_limit else None, stop=stop_event)
 
     if by_block:
         try:
             block_range = BlockRange(args.from_block, args.to_block)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        latest, _ = call_with_retry(provider.latest_height, retry_policy)
+        latest = provider.latest_height()
         if block_range.last > latest:
             raise UsageError(f"--to-block {block_range.last} is past the chain "
                              f"tip, block {latest}")
@@ -304,7 +306,7 @@ def cmd_download(args) -> int:
             interval = TimeInterval(args.from_time, args.to_time)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        block_range = resolve_block_range(interval, provider, policy=retry_policy)
+        block_range = resolve_block_range(interval, provider)
         print(f"interval [{args.from_time}, {args.to_time}] covers blocks "
               f"{block_range.first}..{block_range.last}")
 
@@ -328,8 +330,6 @@ def cmd_download(args) -> int:
     if not tasks:
         print(f"nothing to do: all {planned} chunks are already downloaded")
 
-    stop_event = threading.Event()
-
     def on_sigint(signum, frame):
         if not stop_event.is_set():
             stop_event.set()
@@ -341,7 +341,7 @@ def cmd_download(args) -> int:
         summary = run_download(
             tasks, provider, checkpoint, chunk_dir=chunk_dir,
             checkpoint_path=checkpoint_path, worker_count=worker_count,
-            retry_policy=retry_policy, stop_event=stop_event)
+            stop_event=stop_event)
     finally:
         signal.signal(signal.SIGINT, previous_handler)
 
@@ -362,7 +362,7 @@ def cmd_download(args) -> int:
         "blocks_fetched": summary.blocks_fetched,
         "transactions_written": summary.transactions_written,
         "interrupted": summary.interrupted,
-        "request_attempts": sum(task.attempt_count for task in tasks),
+        "request_attempts": provider.request_attempts,
         "checkpoint_saves": summary.checkpoint_saves,
         "timings_seconds": summary.timings,
     }

@@ -242,7 +242,7 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
              line=1, offset=1)
     count = _int(header[10:], path, 1)
     _require(len(lines) >= count + 2,
-             f"file ends inside the {count}-vertex section", path,
+             f"file ends inside the {_shown(count)}-vertex section", path,
              line=len(lines), offset=1)
     graph = InteractionGraph()
     ids = graph._ids
@@ -252,8 +252,8 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         offset = 1
         if match is None:
             problem = f"bad vertex line: {_shown(lines[idx])}"
-        elif _int(match.group(1), path, idx + 1) != idx:
-            problem = f"vertex IDs must run 1..{count}; got {match.group(1)}"
+        elif (vertex := _int(match.group(1), path, idx + 1)) != idx:
+            problem = f"vertex IDs must run 1..{_shown(count)}; got {_shown(vertex)}"
         elif not (key := match.group(2)) or key in ids:
             problem = f"empty or duplicate vertex key: {_shown(key)}"
             offset = len(match.group(1)) + 2
@@ -276,7 +276,7 @@ def _parse_pajek(text: str, path) -> InteractionGraph:
         except ValueError as exc:  # an integer longer than int() converts
             raise ParseError(str(exc), path=path, line=idx + 1, offset=1) from exc
         if not (0 < a <= count and 0 < b <= count):
-            problem = f"edge names unknown vertex {b if 0 < a <= count else a}"
+            problem = f"edge names unknown vertex {_shown(b if 0 < a <= count else a)}"
         elif a == b:
             problem = f"self-loop on vertex {a}"
         elif insert(a, b, amount):

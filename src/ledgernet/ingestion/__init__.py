@@ -20,8 +20,8 @@ _MODULE_OF = {
         "DownloadSummary",
         "DownloadTask",
         "RetryPolicy",
+        "RetryingProvider",
         "TimeInterval",
-        "call_with_retry",
         "fetch_block_transactions",
         "plan_tasks",
         "resolve_block_range",
@@ -32,7 +32,6 @@ _MODULE_OF = {
         "BlockProvider",
         "EthereumRpcProvider",
         "FixtureProvider",
-        "ThrottledProvider",
         "TokenBucket",
     ], "providers"),
 }

@@ -1,8 +1,8 @@
 """Resumable block-range download.
 
 A coordinator owns the task queue and the checkpoint.  Workers pull chunk
-tasks, fetch block transactions through the provider (retrying transient
-failures with exponential backoff), and write each finished chunk to a
+tasks, fetch block transactions through the provider (a RetryingProvider
+retries transient failures), and write each finished chunk to a
 private temp file.  The coordinator alone renames temp files into place and
 persists the checkpoint.  It waits for the next chunk in task order, takes
 it and every chunk right after it that has finished too, renames their
@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -33,7 +34,7 @@ from ..errors import EmptyRangeError, ProviderError
 from ..graph import Chain, Record, transfer_record
 from .checkpoint import Checkpoint
 from .chunks import chunk_filename, write_chunk
-from .providers import BlockProvider
+from .providers import BlockProvider, TokenBucket
 
 DEFAULT_CHUNK_SIZE = 100
 SLACK = 128
@@ -69,7 +70,6 @@ class DownloadTask:
 
     first: int
     last: int
-    attempt_count: int = 0
 
 
 BACKOFF_FACTOR = 2.0
@@ -109,45 +109,67 @@ class RetryPolicy:
         return base * (1.0 + rng.uniform(0.0, BACKOFF_JITTER))
 
 
-def call_with_retry(fn: Callable, policy: RetryPolicy | None = None, *,
-                    sleep=time.sleep, rng: random.Random | None = None):
-    """Call ``fn`` until it succeeds; returns (result, attempts).
+class RetryingProvider(BlockProvider):
+    """Wrap a provider so that every request is paced and retried here.
 
-    Permanent provider errors are raised immediately; transient ones are
-    retried under the policy.  When the attempt cap is exhausted the raised
-    ProviderError carries the attempt count.
+    Each attempt first takes a token from ``bucket``, if given.  A permanent
+    ProviderError is raised at once; a transient one is retried after
+    ``policy.delay`` seconds of ``stop.wait``, unless ``stop`` is set, which
+    raises it, or ``policy.max_attempts`` attempts failed, which gives up.
+    ``request_attempts`` counts ``block_transactions`` attempts, retries
+    included, from every thread.
     """
-    policy = policy or RetryPolicy()
-    rng = rng or random.Random()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return fn(), attempts
-        except ProviderError as exc:
-            if exc.permanent:
-                raise
-            if policy.max_attempts is not None and attempts >= policy.max_attempts:
-                raise ProviderError(f"giving up: {exc}", attempts=attempts) from exc
-            sleep(policy.delay(attempts, rng))
+
+    def __init__(self, provider: BlockProvider, policy: RetryPolicy | None = None,
+                 bucket: TokenBucket | None = None, *,
+                 stop: threading.Event | None = None,
+                 rng: random.Random | None = None):
+        self.provider = provider
+        self.chain = provider.chain
+        self.policy = policy or RetryPolicy()
+        self.bucket = bucket
+        self.stop = stop or threading.Event()
+        self._rng = rng or random.Random()
+        self._lock = threading.Lock()
+        self.request_attempts = 0
+
+    def latest_height(self) -> int:
+        return self._call(self.provider.latest_height)
+
+    def block_header(self, height: int) -> int:
+        return self._call(self.provider.block_header, height)
+
+    def block_transactions(self, height: int) -> list[tuple]:
+        return self._call(self.provider.block_transactions, height, counted=True)
+
+    def _call(self, request: Callable, *args, counted: bool = False):
+        for attempt in count(1):
+            if counted:
+                with self._lock:
+                    self.request_attempts += 1
+            if self.bucket is not None:
+                self.bucket.acquire()
+            try:
+                return request(*args)
+            except ProviderError as exc:
+                if exc.permanent:
+                    raise
+                cap = self.policy.max_attempts
+                if cap is not None and attempt >= cap:
+                    raise ProviderError(f"giving up: {exc}", attempts=attempt) from exc
+                if self.stop.wait(self.policy.delay(attempt, self._rng)):
+                    raise
 
 
-def fetch_block_transactions(provider: BlockProvider, height: int,
-                             policy: RetryPolicy | None = None, *,
-                             task: DownloadTask | None = None,
-                             sleep=time.sleep,
-                             rng: random.Random | None = None) -> list[Record]:
-    """One block's transfer records, retried until satisfied (or capped).
+def fetch_block_transactions(provider: BlockProvider, height: int) -> list[Record]:
+    """One block's transfer records.
 
     Every record ``provider.block_transactions`` returns goes through
     ``graph.transfer_record``, which checks it and canonicalizes its keys; a
     record that is no valid transfer, or is for another block, raises a
     permanent ProviderError.
     """
-    records, attempts = call_with_retry(
-        lambda: provider.block_transactions(height), policy, sleep=sleep, rng=rng)
-    if task is not None:
-        task.attempt_count += attempts
+    records = provider.block_transactions(height)
     chain = provider.chain
     try:
         checked = [transfer_record(chain, h, t, s, r, v) for h, t, s, r, v in records]
@@ -161,39 +183,38 @@ def fetch_block_transactions(provider: BlockProvider, height: int,
     return checked
 
 
-def resolve_block_range(interval: TimeInterval, provider: BlockProvider, *,
-                        policy: RetryPolicy | None = None,
-                        sleep=time.sleep) -> BlockRange:
+def resolve_block_range(interval: TimeInterval,
+                        provider: BlockProvider) -> BlockRange:
     """Find the blocks whose timestamps fall inside the interval.
 
-    Binary search over headers assumes timestamps are non-decreasing; chains
-    exhibit small local inversions, so each boundary is corrected by a linear
-    scan over ``SLACK`` neighboring blocks.
+    Binary search over headers assumes timestamps are non-decreasing.  Bitcoin
+    blocks show small local inversions, so there each boundary is corrected
+    by a linear scan over ``SLACK`` neighboring blocks; Ethereum consensus
+    makes timestamps strictly increase, so no scan could move a boundary.
     """
     headers: dict[int, int] = {}
 
     def stamp(height: int) -> int:
         if height not in headers:
-            headers[height], _ = call_with_retry(
-                lambda: provider.block_header(height), policy, sleep=sleep)
+            headers[height] = provider.block_header(height)
         return headers[height]
 
-    latest, _ = call_with_retry(provider.latest_height, policy, sleep=sleep)
+    latest = provider.latest_height()
     if stamp(latest) < interval.start or stamp(0) > interval.end:
         raise EmptyRangeError(
             f"no blocks in [{interval.start}, {interval.end}]")
 
     first = bisect_left(range(latest + 1), interval.start, key=stamp)
-    for height in range(max(0, first - SLACK), first):
-        if stamp(height) >= interval.start:
-            first = height
-            break
-
     last = bisect_right(range(latest + 1), interval.end, key=stamp) - 1
-    for height in range(min(latest, last + SLACK), last, -1):
-        if stamp(height) <= interval.end:
-            last = height
-            break
+    if provider.chain is Chain.BITCOIN:
+        for height in range(max(0, first - SLACK), first):
+            if stamp(height) >= interval.start:
+                first = height
+                break
+        for height in range(min(latest, last + SLACK), last, -1):
+            if stamp(height) <= interval.end:
+                last = height
+                break
 
     if first > last:
         raise EmptyRangeError(
@@ -232,14 +253,15 @@ class DownloadSummary:
 def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
                  checkpoint: Checkpoint, *, chunk_dir, checkpoint_path,
                  worker_count: int = 1,
-                 retry_policy: RetryPolicy | None = None,
                  stop_event: threading.Event | None = None) -> DownloadSummary:
     """Fetch every task's blocks into chunk files, checkpointing as it goes.
 
     ``stop_event`` requests a graceful stop: in-flight chunks finish and are
-    recorded, pending ones stay pending for the next run.  On an unrecoverable
-    provider error the remaining work is abandoned the same way and the error
-    propagates with the checkpoint intact.
+    recorded; pending ones, and one whose request fails after the stop, stay
+    pending for the next run.  On an unrecoverable provider error the
+    remaining work is abandoned the same way and the error propagates with
+    the checkpoint intact.  Wrap a network provider in a RetryingProvider
+    that shares ``stop_event``; no request is retried here.
     """
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
@@ -254,16 +276,18 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
 
     def fetch_chunk(task: DownloadTask):
         if stop_event.is_set():
-            return task, None, 0, 0
+            return task, None, 0
         records: list[Record] = []
-        blocks = 0
         for height in range(task.first, task.last + 1):
-            records.extend(fetch_block_transactions(
-                provider, height, retry_policy, task=task))
-            blocks += 1
+            try:
+                records.extend(fetch_block_transactions(provider, height))
+            except ProviderError:
+                if stop_event.is_set():  # given up for the stop: stays pending
+                    return task, None, 0
+                raise
         temp = chunk_dir / f".tmp-{chunk_filename(task.first, task.last)}"
         lines = write_chunk(temp, records)
-        return task, temp, blocks, lines
+        return task, temp, lines
 
     failure: BaseException | None = None
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
@@ -277,18 +301,18 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
             completed = summary.chunks_completed
             for future in batch:
                 try:
-                    task, temp, blocks, lines = future.result()
+                    task, temp, lines = future.result()
                 except BaseException as exc:
                     stop_event.set()
                     if failure is None:
                         failure = exc
                     continue
-                if temp is None:  # skipped: a stop was requested first
+                if temp is None:  # skipped: a stop was requested
                     continue
                 os.replace(temp, chunk_dir / chunk_filename(task.first, task.last))
                 checkpoint.mark_done(task.first)
                 summary.chunks_completed += 1
-                summary.blocks_fetched += blocks
+                summary.blocks_fetched += task.last - task.first + 1
                 summary.transactions_written += lines
             if summary.chunks_completed > completed:
                 checkpoint.save(checkpoint_path)

@@ -9,7 +9,7 @@ JSON-RPC endpoint, or a blockchain.info-style REST API.
 
 Blocks are immutable, so a provider must return the same data for the same
 height on every call.  Transient failures (network, rate limits, 5xx) raise
-ProviderError with permanent=False and are retried by the caller; conditions
+ProviderError with permanent=False, retried by a RetryingProvider; conditions
 that retrying cannot fix (missing fixture block, malformed payload, an
 endpoint URL ``requests`` refuses before connecting) set permanent=True.
 """
@@ -400,24 +400,3 @@ class TokenBucket:
                     return
                 wait = (1.0 - self._tokens) / self.rate
             self._sleep(wait)
-
-
-class ThrottledProvider(BlockProvider):
-    """Wrap a provider so every request first takes a rate-limit token."""
-
-    def __init__(self, provider: BlockProvider, bucket: TokenBucket):
-        self.provider = provider
-        self.bucket = bucket
-        self.chain = provider.chain
-
-    def latest_height(self) -> int:
-        self.bucket.acquire()
-        return self.provider.latest_height()
-
-    def block_header(self, height: int) -> int:
-        self.bucket.acquire()
-        return self.provider.block_header(height)
-
-    def block_transactions(self, height: int) -> list[tuple]:
-        self.bucket.acquire()
-        return self.provider.block_transactions(height)

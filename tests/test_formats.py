@@ -313,7 +313,14 @@ class TestImportGraph:
          "expected '*Vertices <n>', got '{\"vertices\":[\"" + "A" * 65 + "..."),
         ("json", '{"vertices":[["' + "A" * 1_000_000 + '"]],"edges":[]}',
          "bad vertex key: ['" + "A" * 78 + "..."),
-    ], ids=["pajek-header", "json-vertex-key"])
+        ("pajek", "*Vertices " + "9" * 4000 + "\n",
+         "file ends inside the " + "9" * 80 + "...-vertex section"),
+        ("pajek", "*Vertices 1\n" + "9" * 4000 + ' "A"\n*Edges\n',
+         "vertex IDs must run 1..1; got " + "9" * 80 + "..."),
+        ("pajek", '*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 ' + "9" * 4000 + " 1\n",
+         "edge names unknown vertex " + "9" * 80 + "..."),
+    ], ids=["pajek-header", "json-vertex-key", "pajek-vertex-count", "pajek-vertex-id",
+            "pajek-edge-end"])
     def test_error_quotes_at_most_the_start_of_a_long_input(
             self, tmp_path, capsys, fmt, body, quoted):
         from ledgernet import cli

@@ -8,7 +8,8 @@ JSON goes through ``formats``, so every input, network replies too, is read
 as strict JSON and every output replaced atomically in one place.  A
 transfer is checked and its keys canonicalized by ``graph.transfer_record``,
 called only where provider records and chunk lines enter.  A network
-request is sent, and its failure classified, by ``providers._reply`` alone.
+request is sent, and its failure classified, by ``providers._reply`` alone,
+and paced and retried by ``download.RetryingProvider`` alone.
 """
 
 import ast
@@ -28,6 +29,7 @@ POOL_MODULES = ("concurrent", "multiprocessing")
 JSON_FUNCTIONS = ("load", "loads", "dump", "dumps")
 TRANSFER_RULES = ("canonicalize_address", "transfer_record")
 REQUEST_RULES = ("RequestException", "status_code")
+PACING_CALLS = ("acquire", "delay")
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -122,6 +124,30 @@ def test_only_reply_catches_request_errors_and_reads_status_codes():
     assert {name: found for name, found in uses.items() if found} == {
         "ingestion/providers.py": {"_reply:RequestException",
                                    "_reply:status_code"}}
+
+
+def method_calls(path: Path, methods: tuple[str, ...]) -> set[str]:
+    """``<owner>:<method>`` for each call ``<value>.<method>(...)`` in
+    ``path`` of a method in ``methods``; the owner is the top-level def or
+    class around it."""
+    calls = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        calls.update(f"{owner}:{node.func.attr}" for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr in methods)
+    return calls
+
+
+def test_only_the_retrying_provider_takes_tokens_and_backoff_delays():
+    # bucket.acquire() and policy.delay() are called by one wrapper, so no
+    # second path can pace or retry a request by rules of its own
+    calls = {path.relative_to(PACKAGE).as_posix(): method_calls(path, PACING_CALLS)
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {
+        "ingestion/download.py": {"RetryingProvider:acquire",
+                                  "RetryingProvider:delay"}}
 
 
 def test_no_json_method_call_bypasses_formats():

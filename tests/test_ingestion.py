@@ -2,9 +2,11 @@ import contextlib
 import json
 import random
 import re
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import requests
@@ -26,14 +28,12 @@ from ledgernet.ingestion import (
     BitcoinApiProvider,
     BlockRange,
     Checkpoint,
-    DownloadTask,
     EthereumRpcProvider,
     FixtureProvider,
+    RetryingProvider,
     RetryPolicy,
-    ThrottledProvider,
     TimeInterval,
     TokenBucket,
-    call_with_retry,
     chunk_filename,
     decode_transaction,
     fetch_block_transactions,
@@ -52,6 +52,7 @@ import oracles
 from conftest import ADDR, StopAfterBlocks, make_fixture
 
 ETH = Chain.ETHEREUM
+MINI = Path(__file__).parent / "fixtures" / "mini"
 
 
 def line_of(h, t, s, r, v):
@@ -93,6 +94,26 @@ class NoJitter:
     @staticmethod
     def uniform(low, high):
         return low
+
+
+class RecordedWaits(threading.Event):
+    """A stop event that is never set: ``wait`` returns at once and records
+    each backoff wait in ``waits``."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = []
+
+    def wait(self, timeout=None):
+        self.waits.append(timeout)
+        return False
+
+
+def retrying(provider, policy=None, bucket=None):
+    """``provider`` wrapped to retry without jitter, recording its waits in
+    ``stop.waits`` instead of waiting."""
+    return RetryingProvider(provider, policy, bucket, stop=RecordedWaits(),
+                            rng=NoJitter())
 
 
 class TestFixtureProvider:
@@ -265,46 +286,64 @@ class TestProviderKeys:
 
 class TestRetry:
     def test_retries_until_satisfied(self):
-        provider = FlakyProvider(failures=2)
-        sleeps = []
-        task = DownloadTask(0, 0)
-        txs = fetch_block_transactions(provider, 0, RetryPolicy(), task=task,
-                                       sleep=sleeps.append, rng=NoJitter())
+        provider = retrying(FlakyProvider(failures=2), RetryPolicy())
+        txs = fetch_block_transactions(provider, 0)
         assert len(txs) == 1
-        assert task.attempt_count == 3
-        assert sleeps == [0.5, 1.0]
+        assert provider.request_attempts == 3
+        assert provider.stop.waits == [0.5, 1.0]
 
     def test_attempt_cap(self):
-        provider = FlakyProvider(failures=100)
+        flaky = FlakyProvider(failures=100)
         with pytest.raises(ProviderError) as info:
-            fetch_block_transactions(provider, 0, RetryPolicy(max_attempts=5),
-                                     sleep=lambda s: None, rng=NoJitter())
+            fetch_block_transactions(retrying(flaky, RetryPolicy(max_attempts=5)), 0)
         assert info.value.attempts == 5
         assert "after 5 attempts" in str(info.value)
-        assert provider.calls == 5
+        assert flaky.calls == 5
 
     def test_permanent_error_is_not_retried(self):
-        provider = FlakyProvider(failures=100, permanent=True)
-        sleeps = []
+        flaky = FlakyProvider(failures=100, permanent=True)
+        provider = retrying(flaky)
         with pytest.raises(ProviderError):
-            fetch_block_transactions(provider, 0, sleep=sleeps.append)
-        assert provider.calls == 1
-        assert sleeps == []
+            fetch_block_transactions(provider, 0)
+        assert flaky.calls == 1
+        assert provider.stop.waits == []
 
     def test_happy_path_is_one_attempt(self):
-        provider = FlakyProvider()
-        task = DownloadTask(0, 0)
-        fetch_block_transactions(provider, 0, task=task,
-                                 sleep=lambda s: pytest.fail("slept"))
-        assert task.attempt_count == 1
+        provider = retrying(FlakyProvider())
+        fetch_block_transactions(provider, 0)
+        assert provider.request_attempts == 1
+        assert provider.stop.waits == []
+
+    def test_tip_and_header_requests_are_retried_but_not_counted(self):
+        class FlakyTipAndHeaders(FlakyProvider):
+            def __init__(self):
+                super().__init__()
+                self.failed = set()
+
+            def fail_once(self, request):
+                if request not in self.failed:
+                    self.failed.add(request)
+                    raise ProviderError(f"{request} failed")
+
+            def latest_height(self):
+                self.fail_once("tip")
+                return super().latest_height()
+
+            def block_header(self, height):
+                self.fail_once(height)
+                return super().block_header(height)
+
+        provider = retrying(FlakyTipAndHeaders())
+        assert provider.latest_height() == 9
+        assert provider.block_header(3) == 300
+        assert provider.stop.waits == [0.5, 0.5]
+        assert provider.request_attempts == 0
 
     @pytest.mark.parametrize("failures", range(7))
     def test_eventual_success_never_errors_without_cap(self, failures):
-        provider = FlakyProvider(failures=failures)
-        value, attempts = call_with_retry(
-            lambda: provider.block_transactions(0),
-            RetryPolicy(), sleep=lambda s: None, rng=NoJitter())
-        assert attempts == failures + 1
+        provider = retrying(FlakyProvider(failures=failures), RetryPolicy())
+        provider.block_transactions(0)
+        assert provider.request_attempts == failures + 1
 
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(base_delay=0.5)
@@ -322,8 +361,7 @@ class TestRetry:
         provider = FlakyProvider(failures=1)
         with pytest.raises(ValueError,
                            match="base_delay must be a finite number >= 0, got -1"):
-            call_with_retry(lambda: provider.block_transactions(0),
-                            RetryPolicy(base_delay=-1))
+            RetryingProvider(provider, RetryPolicy(base_delay=-1)).block_transactions(0)
         assert provider.calls == 0
 
     def test_nan_base_delay_is_rejected(self):
@@ -349,16 +387,15 @@ class TestRetry:
 
     @pytest.mark.parametrize("base_delay", [0, 0.5])
     def test_retry_forever_outlasts_the_float_range(self, base_delay):
-        provider = FlakyProvider(failures=2000)
-        sleeps = []
-        value, attempts = call_with_retry(
-            lambda: provider.block_transactions(0),
-            RetryPolicy(base_delay=base_delay), sleep=sleeps.append)
-        assert attempts == 2001 and len(sleeps) == 2000
+        stop = RecordedWaits()
+        provider = RetryingProvider(FlakyProvider(failures=2000),
+                                    RetryPolicy(base_delay=base_delay), stop=stop)
+        provider.block_transactions(0)
+        assert provider.request_attempts == 2001 and len(stop.waits) == 2000
         if base_delay:
-            assert max(sleeps) <= 66.0
+            assert max(stop.waits) <= 66.0
         else:
-            assert set(sleeps) == {0.0}
+            assert set(stop.waits) == {0.0}
 
     def test_zero_delays_and_one_attempt_are_accepted(self):
         policy = RetryPolicy(base_delay=0, max_attempts=1)
@@ -394,7 +431,8 @@ class TestResolveBlockRange:
             resolve_block_range(TimeInterval(101, 199), FixtureProvider(tmp_path))
 
     def test_local_timestamp_inversion_is_corrected(self, tmp_path):
-        make_fixture(tmp_path,
+        # only Bitcoin blocks can be out of timestamp order
+        make_fixture(tmp_path, chain="bitcoin", txs_per_block=0,
                      timestamps=[0, 100, 90, 200, 300, 400, 500, 600, 700, 800])
         provider = FixtureProvider(tmp_path)
         assert resolve_block_range(TimeInterval(95, 450), provider) == \
@@ -419,6 +457,18 @@ class TestResolveBlockRange:
             else:
                 with pytest.raises(EmptyRangeError):
                     resolve_block_range(TimeInterval(start, end), provider)
+
+    def test_ethereum_window_reads_no_boundary_scan_headers(self, monkeypatch):
+        # Ethereum timestamps strictly increase: two binary searches suffice
+        read = []
+        header = FixtureProvider.block_header
+        monkeypatch.setattr(FixtureProvider, "block_header",
+                            lambda self, height: read.append(height)
+                            or header(self, height))
+        provider = FixtureProvider(MINI)
+        assert resolve_block_range(TimeInterval(2800, 4600), provider) == \
+            BlockRange(30, 60)
+        assert len(read) == len(set(read)) == 15
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -1210,6 +1260,78 @@ class TestRunDownload:
         planned = {t.first for t in remaining} | saved.done
         assert planned == {0, 2, 4, 6, 8}
 
+    def test_retries_are_counted_across_threads(self, tmp_path):
+        class FailsFirstAttempt(FlakyProvider):
+            """Fails each block's first attempt, then serves it."""
+
+            def __init__(self):
+                super().__init__()
+                self.failed = set()
+
+            def block_transactions(self, height):
+                if height not in self.failed:
+                    self.failed.add(height)
+                    raise ProviderError("scripted first failure")
+                return super().block_transactions(height)
+
+        def download(provider, out, worker_count):
+            checkpoint = Checkpoint(ETH, 0, 19, 2)
+            run_download(plan_tasks(BlockRange(0, 19), 2, checkpoint), provider,
+                         checkpoint, chunk_dir=out / "chunks",
+                         checkpoint_path=out / "checkpoint.json",
+                         worker_count=worker_count)
+            return chunk_bytes(out)
+
+        provider = RetryingProvider(FailsFirstAttempt(), RetryPolicy(base_delay=0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a count updated without the lock loses some
+        try:
+            retried = download(provider, tmp_path / "retried", worker_count=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert provider.request_attempts == 40
+        assert retried == download(FlakyProvider(), tmp_path / "clean", 1)
+        assert len(retried) == 10
+
+    def test_stop_ends_a_backoff_wait_during_an_outage(self, tmp_path):
+        both_failed = threading.Event()
+        requested = []
+
+        class Outage(FlakyProvider):
+            def block_transactions(self, height):
+                requested.append(height)
+                if len(requested) == 2:
+                    both_failed.set()
+                raise ProviderError("HTTP 503")
+
+        stop = threading.Event()
+
+        def interrupt():
+            both_failed.wait(5)
+            time.sleep(0.05)  # both workers are in a 60 s backoff wait by now
+            stop.set()
+
+        out = tmp_path / "out"
+        checkpoint = Checkpoint(ETH, 0, 9, 5)
+        interrupter = threading.Thread(target=interrupt)
+        interrupter.start()
+        started = time.monotonic()
+        summary = run_download(
+            plan_tasks(BlockRange(0, 9), 5, checkpoint),
+            # the cap bounds a stop that fails to end a wait to one 60 s wait
+            RetryingProvider(Outage(), RetryPolicy(base_delay=60, max_attempts=2),
+                             stop=stop),
+            checkpoint, chunk_dir=out / "chunks",
+            checkpoint_path=out / "checkpoint.json", worker_count=2,
+            stop_event=stop)
+        assert time.monotonic() - started < 2
+        interrupter.join(5)
+        assert not interrupter.is_alive()
+        assert summary.interrupted and summary.chunks_completed == 0
+        assert sorted(requested) == [0, 5]  # not retried once stopped
+        assert Checkpoint.load(out / "checkpoint.json") == Checkpoint(ETH, 0, 9, 5)
+        assert list((out / "chunks").iterdir()) == []
+
     def test_rejects_bad_worker_count(self, tmp_path):
         checkpoint = Checkpoint(ETH, 0, 9, 5)
         with pytest.raises(ValueError):
@@ -1397,7 +1519,7 @@ class TestRateLimiting:
         bucket.acquire()
         assert sleeps == [pytest.approx(86400)]
 
-    def test_throttled_provider_takes_a_token_per_call(self, tmp_path):
+    def test_retrying_provider_takes_a_token_per_attempt(self):
         class CountingBucket:
             def __init__(self):
                 self.acquired = 0
@@ -1405,14 +1527,14 @@ class TestRateLimiting:
             def acquire(self):
                 self.acquired += 1
 
-        provider = FixtureProvider(make_fixture(tmp_path / "fx"))
         bucket = CountingBucket()
-        throttled = ThrottledProvider(provider, bucket)
-        assert throttled.chain is ETH
-        throttled.latest_height()
-        throttled.block_header(1)
-        throttled.block_transactions(1)
-        assert bucket.acquired == 3
+        provider = retrying(FlakyProvider(failures=2), bucket=bucket)
+        assert provider.chain is ETH
+        provider.latest_height()
+        provider.block_header(1)
+        provider.block_transactions(1)
+        # the two failed block attempts took a token each, like the third
+        assert bucket.acquired == 1 + 1 + 3
 
 
 def response(payload, status_code=200, body=None):

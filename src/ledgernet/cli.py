@@ -410,11 +410,14 @@ def cmd_build(args) -> int:
 
     start = time.perf_counter()
     graph = fold_chunks(chunk_dir, chain, checkpoint)
+    edges = graph.edge_triples()  # both exports write this one sorted list
     timings = {"fold": time.perf_counter() - start}
     out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for fmt, path in targets.items():
         start = time.perf_counter()
-        export_graph(graph, path, fmt)
+        digest = export_graph(graph, path, fmt, edges)
+        files[fmt] = {"file": str(path), "sha256": digest}
         timings[f"export_{fmt}"] = time.perf_counter() - start
     # Written only once every export succeeded, and listing only the files
     # this run wrote: compare trusts two files it lists to hold one graph.
@@ -424,8 +427,7 @@ def cmd_build(args) -> int:
         "chain": chain.value,
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "graph_files": {fmt: {"file": str(path), "sha256": _sha256(path)}
-                        for fmt, path in targets.items()},
+        "graph_files": files,
         "timings_seconds": timings,
     }, indent=2)
     written = ", ".join(str(path) for path in targets.values())

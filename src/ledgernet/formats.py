@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from json.encoder import encode_basestring as _quote
 
 from .errors import ExportError, ParseError, UsageError
 from .graph import Chain, InteractionGraph
@@ -43,39 +44,42 @@ def infer_format(path) -> str:
                      "expected a .json, .pajek, or .net suffix")
 
 
-def export_json(graph: InteractionGraph, path) -> None:
-    """Write the graph as one compact JSON object.
+def export_json(graph: InteractionGraph, path, edges=None) -> str:
+    """Write the graph as one compact JSON object, as ``json.dumps`` with
+    ``ensure_ascii=False`` would, and return the SHA-256 of its bytes.
 
     Key order is chain, vertices, edges; the chain key is present only when
-    the graph knows its chain.
+    the graph knows its chain.  ``edges``, if given, is ``graph.edge_triples()``.
     """
     def text() -> str:
-        doc: dict = {}
-        if graph.chain is not None:
-            doc["chain"] = graph.chain.value
-        doc["vertices"] = graph.node_keys()
-        doc["edges"] = [[graph.keys[a], graph.keys[b], amount]
-                        for a, b, amount in graph.edge_triples()]
-        return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
-    _write(path, text, "utf-8")
+        quoted = [""] + [_quote(key) for key in graph.node_keys()]
+        head = "{" if graph.chain is None else f'{{"chain":"{graph.chain.value}",'
+        return "".join([head, '"vertices":[', ",".join(quoted[1:]), '],"edges":[',
+                        ",".join([f"[{quoted[a]},{quoted[b]},{amount}]" for a, b, amount
+                                  in edges or graph.edge_triples()]), "]}\n"])
+    return _write(path, text, "utf-8")
 
 
-def export_pajek(graph: InteractionGraph, path) -> None:
-    """Write the graph in Pajek form: a vertex section, then an edge list."""
+def export_pajek(graph: InteractionGraph, path, edges=None) -> str:
+    """Write the graph in Pajek form, vertices then edges; as ``export_json``."""
     def text() -> str:
         vertices = [f'{node} "{graph.keys[node]}"' for node in graph.node_ids()]
-        edges = [f"{a} {b} {amount}" for a, b, amount in graph.edge_triples()]
-        return "\n".join([f"*Vertices {graph.node_count}", *vertices, "*Edges", *edges])
-    _write(path, text, "ascii")
+        return "\n".join([f"*Vertices {graph.node_count}", *vertices, "*Edges",
+                          *[f"{a} {b} {amount}" for a, b, amount
+                            in edges or graph.edge_triples()], ""])
+    return _write(path, text, "ascii")
 
 
-def _write(path, text, encoding: str) -> None:
-    """Write ``text()`` and a final newline to ``path``, rendered and encoded
-    in full before any file is opened."""
+def _write(path, text, encoding: str) -> str:
+    """Write ``text()`` to ``path``, rendered and encoded in full before any
+    file is opened, and return the SHA-256 of its bytes."""
+    import hashlib  # loads OpenSSL, which download and report never need
     try:
-        atomic_write(path, text().encode(encoding), b"\n")
+        data = text().encode(encoding)
+        atomic_write(path, data)
     except (OSError, ValueError) as exc:  # also an int too long for str()
         raise ExportError(f"cannot write {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
 
 
 def atomic_write(path, *parts: bytes) -> None:
@@ -128,11 +132,9 @@ def write_json(path, doc, **layout) -> None:
     atomic_write(path, text.encode("utf-8"), b"\n")
 
 
-def export_graph(graph: InteractionGraph, path, fmt: str) -> None:
-    if normalize_format(fmt) == FORMAT_JSON:
-        export_json(graph, path)
-    else:
-        export_pajek(graph, path)
+def export_graph(graph: InteractionGraph, path, fmt: str, edges=None) -> str:
+    export = export_json if normalize_format(fmt) == FORMAT_JSON else export_pajek
+    return export(graph, path, edges)
 
 
 def import_graph(path, fmt: str | None = None) -> InteractionGraph:

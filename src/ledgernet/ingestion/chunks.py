@@ -6,11 +6,11 @@ keep month-scale downloads compact on disk:
 
     {"h": height, "t": timestamp, "s": sender-or-null, "r": recipient, "v": amount}
 
-A line as ``write_chunk`` writes it (these fields in this order, no spaces,
-integers without leading zeros, keys already canonical and free of JSON
-escapes) is read by one pattern match; any other line is parsed as JSON
-under the same rules, so both give the same record (``graph.Record``) or the
-same error.
+A file is read about a hundred lines at a time.  Lines as ``write_chunk``
+writes them (these fields in this order, no spaces, integers without leading
+zeros, keys canonical and free of JSON escapes) are read by one pattern match
+of the slice; a slice with any other line is parsed as JSON line by line under
+the same rules, so both give the same record (``graph.Record``) or error.
 
 Chunk files are the durable hand-off between the downloader and the graph
 builder, and the only place directed per-transaction detail survives.
@@ -32,15 +32,17 @@ from .checkpoint import Checkpoint
 _CHUNK_NAME = re.compile(r"chunk_([0-9]+)_([0-9]+)\.ndjson")
 _FIELDS = ("h", "t", "s", "r", "v")
 _FIELD_SET = frozenset(_FIELDS)
-# The line write_chunk writes, by chain, when its keys are canonical
-# and need no JSON escape (for Bitcoin, printable ASCII but space, '"' and
-# '\'); 78 digits cover 2**256.
+# The line write_chunk writes, by chain, when its keys are canonical and need
+# no JSON escape (for Bitcoin, printable ASCII but space, '"' and '\'); 78
+# digits cover 2**256.  findall on a file's text gives each line's strings.
 _DIGITS = "(?:0|[1-9][0-9]{0,77})"
-_WRITTEN_LINE = {chain: re.compile(
-    r'\{"h":(%s),"t":(-?%s),"s":(?:null|"(%s)"),"r":"(%s)","v":(%s)\}\n?'
-    % (_DIGITS, _DIGITS, key, key, _DIGITS)).fullmatch
+_WRITTEN = {chain: re.compile(
+    r'^\{"h":(%s),"t":(-?%s),"s":(?:null|"(%s)"),"r":"(%s)","v":(%s)\}$\n?'
+    % (_DIGITS, _DIGITS, key, key, _DIGITS), re.M)
     for chain, key in ((Chain.ETHEREUM, "0x[0-9a-f]{40}"),
                        (Chain.BITCOIN, r'[!#-\[\]-~]+'))}
+# Characters of a chunk file matched at once; more cost memory, not time
+_SLICE = 1 << 14
 # A byte that is not UTF-8, as reading with errors="surrogateescape" keeps it
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search
 
@@ -112,32 +114,48 @@ def _disjoint(files: list[Path]) -> list[Path]:
     return files
 
 
+def _lines(path: Path, chain: Chain, lines: list[str], line_no: int,
+           first: int, last: int) -> Iterator[Record]:
+    """The records of ``lines``, line ``line_no`` on of ``path``, a file of
+    blocks ``first..last``, each line parsed as JSON."""
+    for line_no, line in enumerate(lines, start=line_no):
+        if _NOT_UTF8(line):
+            raise ParseError("bytes that are not UTF-8", path=path, line=line_no)
+        if line.strip():
+            record = _decode_record(line, chain, path, line_no)
+            if not first <= record[0] <= last:
+                raise ParseError(f"block height {record[0]} is outside "
+                                 f"the file's span {first}..{last}",
+                                 path=path, line=line_no)
+            yield record
+
+
 def _records(files: list[Path], chain: Chain | str) -> Iterator[Record]:
     """``(height, timestamp, sender, recipient, amount)`` of every line of
     ``files`` (sorted by span) in order; overlapping files, a bad line and a
     record outside its file's block span raise ParseError."""
-    chain = Chain(chain)
-    written = _WRITTEN_LINE[chain]
+    for h, t, s, r, v in _rows(files, Chain(chain)):
+        yield int(h), int(t), s or None, r, int(v)
+
+
+def _rows(files: list[Path], chain: Chain) -> Iterator[tuple]:
+    """``_records``' ``(h, t, s, r, v)``, ``_SLICE`` characters of lines at a
+    time: one match's strings (``s`` "" for null) if every line of the slice
+    is as written and every height in its file's span, else ``_lines``'
+    records; ``int`` and ``or`` read both alike."""
+    findall = _WRITTEN[chain].findall
     for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
+        line_no = 1
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                match = written(line)
-                if match is not None:
-                    h, t, s, r, v = match.groups()
-                    record = (int(h), int(t), s, r, int(v))
-                elif _NOT_UTF8(line):
-                    raise ParseError("bytes that are not UTF-8", path=path,
-                                     line=line_no)
-                elif line.strip():
-                    record = _decode_record(line, chain, path, line_no)
+            while lines := fh.readlines(_SLICE):
+                rows = findall("".join(lines))
+                if len(rows) == len(lines) and all(
+                        first <= int(h) <= last for h in {row[0] for row in rows}):
+                    yield from rows
                 else:
-                    continue
-                if not first <= record[0] <= last:
-                    raise ParseError(f"block height {record[0]} is outside "
-                                     f"the file's span {first}..{last}",
-                                     path=path, line=line_no)
-                yield record
+                    yield from _lines(path, chain, lines, line_no, first, last)
+                line_no += len(lines)
 
 
 def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transaction]:
@@ -175,7 +193,14 @@ def fold_chunks(chunk_dir, chain: Chain | str,
                                   f"checkpoint but missing from {chunk_dir}")
         files = [path for path in files if plan[path.name]]
     graph = InteractionGraph(chain)
-    add_transfer = graph.add_transfer
-    for _, _, sender, recipient, amount in _records(files, chain):
-        add_transfer(sender, recipient, amount)
+    get, intern, adj = graph._ids.get, graph.intern_node, graph.adj
+    in_tx, out_tx = graph.in_tx, graph.out_tx
+    for _, _, s, r, v in _rows(files, chain):
+        a = s and (get(s) or intern(s))
+        b = get(r) or intern(r)
+        in_tx[b] += 1
+        if a:
+            out_tx[a] += 1
+            if a != b:
+                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + int(v)
     return graph

@@ -112,7 +112,8 @@ class RetryPolicy:
 class RetryingProvider(BlockProvider):
     """Wrap a provider so that every request is paced and retried here.
 
-    Each attempt first takes a token from ``bucket``, if given.  A permanent
+    Each attempt first takes a token from ``bucket``, if given, waiting on
+    ``stop``, which ends that wait with a transient ProviderError.  A permanent
     ProviderError is raised at once; a transient one is retried after
     ``policy.delay`` seconds of ``stop.wait``, unless ``stop`` is set, which
     raises it, or ``policy.max_attempts`` attempts failed, which gives up.
@@ -144,11 +145,11 @@ class RetryingProvider(BlockProvider):
 
     def _call(self, request: Callable, *args, counted: bool = False):
         for attempt in count(1):
+            if self.bucket is not None:
+                self.bucket.acquire(self.stop)
             if counted:
                 with self._lock:
                     self.request_attempts += 1
-            if self.bucket is not None:
-                self.bucket.acquire()
             try:
                 return request(*args)
             except ProviderError as exc:

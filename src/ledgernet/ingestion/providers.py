@@ -367,7 +367,7 @@ class BitcoinApiProvider(BlockProvider):
 
 
 # The slowest rate a TokenBucket serves: one request a day.  Below it a
-# token's wait can pass what ``time.sleep`` accepts (1e-300 overflows).
+# token's wait can pass what ``Event.wait`` accepts (1e-300 overflows).
 MIN_RATE_LIMIT = 1 / 86400
 
 
@@ -376,7 +376,7 @@ class TokenBucket:
     bursts up to one second's worth.  ``rate`` must be at least
     ``MIN_RATE_LIMIT``."""
 
-    def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rate: float, clock=time.monotonic):
         if not rate >= MIN_RATE_LIMIT:
             raise ValueError(f"rate must be >= 1/86400 (one request a day), "
                              f"got {rate}")
@@ -385,10 +385,11 @@ class TokenBucket:
         self._tokens = self.capacity
         self._stamp = clock()
         self._clock = clock
-        self._sleep = sleep
         self._lock = threading.Lock()
 
-    def acquire(self) -> None:
+    def acquire(self, stop: threading.Event) -> None:
+        """Take one token, waiting for it on ``stop``: a stop that ends the
+        wait raises a transient ProviderError."""
         while True:
             with self._lock:
                 now = self._clock()
@@ -399,4 +400,5 @@ class TokenBucket:
                     self._tokens -= 1.0
                     return
                 wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
+            if stop.wait(wait):
+                raise ProviderError("stopped while waiting for a rate-limit token")

@@ -531,7 +531,7 @@ class TestDownload:
             def __init__(self, rate):
                 rates.append(rate)
 
-            def acquire(self):
+            def acquire(self, stop):
                 pass
 
         monkeypatch.setattr(providers, "TokenBucket", RecordingBucket)
@@ -1565,6 +1565,36 @@ class TestEntryPoints:
 
 
 class TestInterrupt:
+    def test_sigint_ends_a_rate_limit_wait(self, tmp_path):
+        # at 0.01 requests a second, the first block's token is 100 s away
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "ledgernet", "download",
+                "--chain", "ethereum",
+                "--fixture", str(MINI), "--from-block", "0", "--to-block", "9",
+                "--chunk-size", "5",
+                "--workers", "1", "--rate-limit", "0.01",
+                "--output-dir", str(out)]
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        checkpoint_path = out / "checkpoint.json"
+        deadline = time.monotonic() + 30
+        # the checkpoint is saved after the SIGINT handler is installed
+        while not checkpoint_path.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.2)  # the worker is now waiting for its token
+        proc.send_signal(signal.SIGINT)
+        try:
+            stdout, stderr = proc.communicate(timeout=1)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("download still ran 1 s after SIGINT")
+        assert proc.returncode == 130, stderr
+        assert "rerun the same command to resume" in stderr
+        assert read_json(checkpoint_path)["done"] == []
+        assert read_json(out / "download_summary.json")["interrupted"] is True
+
     def test_sigint_checkpoints_and_resume_matches(self, fixture_dir, tmp_path):
         reference = tmp_path / "reference"
         download(fixture_dir, reference, "--chunk-size", 1)

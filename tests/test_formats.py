@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,102 @@ class TestExportJson:
     def test_io_failure_raises_export_error(self, tmp_path):
         with pytest.raises(ExportError):
             export_json(two_node_graph(), tmp_path)
+
+
+# Bitcoin keys whose JSON form needs an escape or is not ASCII: a quote, a
+# backslash, control characters that are not whitespace, é, a non-BMP one
+ODD_KEYS = ['1Bo"at', "1Bo\\at", "\x00", "1\x07x", "1\x08", "\x0e\x1b", "\x7f",
+            "caf\u00e9", "1\U0001f600", '"\\\x01\u00e9\U00010348/']
+
+
+def keyed_graph(rng, chain, n, keys):
+    """A G(n, m) graph on ``keys`` (interned in a shuffled order) whose edge
+    amounts include 0 and 10**77."""
+    graph = InteractionGraph(chain)
+    for key in rng.sample(keys, n):
+        graph.intern_node(key)
+    m = rng.randrange(n * (n - 1) // 2 + 1) if n > 1 else 0
+    for a, b in oracles.random_gnm_edge_set(rng, n, m):
+        amount = rng.choice([0, 10**77, rng.randrange(10**20)])
+        graph.record_edge(b + 1, a + 1, amount)
+    return graph
+
+
+def json_dumps_oracle(graph):
+    """The bytes ``export_json`` must write: ``json.dumps`` of the document,
+    its edges sorted from the adjacency rows."""
+    doc = {} if graph.chain is None else {"chain": graph.chain.value}
+    doc["vertices"] = graph.keys[1:]
+    doc["edges"] = [[graph.keys[a], graph.keys[b], amount] for a, b, amount in sorted(
+        (a, b, amount) for a, row in enumerate(graph.adj) for b, amount in row.items()
+        if a < b)]
+    return (json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+            + "\n").encode("utf-8")
+
+
+class TestExportJsonOracle:
+    @pytest.mark.parametrize("chain", [None, Chain.BITCOIN, Chain.ETHEREUM])
+    def test_bytes_are_json_dumps(self, tmp_path, chain):
+        rng = random.Random(17)
+        for case in range(40):
+            if chain is Chain.ETHEREUM:
+                keys = [oracles.random_address(rng) for _ in range(30)]
+            else:
+                keys = ODD_KEYS + [oracles.random_address(rng, Chain.BITCOIN)
+                                   for _ in range(20)]
+            graph = keyed_graph(rng, chain, 0 if case == 0 else
+                                rng.randrange(1, len(keys) + 1), keys)
+            expected = json_dumps_oracle(graph)
+            for edges in (None, graph.edge_triples()):
+                path = tmp_path / f"g{case}.json"
+                assert export_json(graph, path, edges) == hashlib.sha256(
+                    expected).hexdigest()
+                assert path.read_bytes() == expected
+
+    def test_every_odd_key_and_amount_is_written(self, tmp_path):
+        graph = InteractionGraph(Chain.BITCOIN)
+        for key in ODD_KEYS:
+            graph.intern_node(key)
+        for node in range(2, len(ODD_KEYS) + 1):
+            graph.record_edge(node, 1, [0, 10**77][node % 2])
+        path = tmp_path / "g.json"
+        export_json(graph, path)
+        assert path.read_bytes() == json_dumps_oracle(graph)
+        assert json.loads(path.read_text(encoding="utf-8"))["vertices"] == ODD_KEYS
+
+
+class TestExportPajekGolden:
+    GOLDEN = Path(__file__).parent / "fixtures" / "golden.pajek"
+
+    @staticmethod
+    def graph():
+        """Edges recorded out of order, one pair twice, amounts 0 and 10**77."""
+        graph = InteractionGraph(Chain.BITCOIN)
+        for key in ["1Boat", "A", 'Q"x', "caf-e", "\\"]:
+            graph.intern_node(key)
+        for a, b, amount in [(3, 1, 5), (2, 5, 0), (1, 2, 10**77), (4, 1, 7),
+                             (1, 3, 2), (5, 4, 9)]:
+            graph.record_edge(a, b, amount)
+        return graph
+
+    def test_matches_the_golden_file(self, tmp_path):
+        graph = self.graph()
+        expected = self.GOLDEN.read_bytes()
+        for edges in (None, graph.edge_triples()):
+            path = tmp_path / "g.pajek"
+            assert export_pajek(graph, path, edges) == hashlib.sha256(
+                expected).hexdigest()
+            assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("export", [export_json, export_pajek])
+    def test_export_errors_with_the_edge_list_given(self, tmp_path, export):
+        graph = self.graph()
+        with pytest.raises(ExportError):
+            export(graph, tmp_path, graph.edge_triples())
+        graph.adj[1][2] = graph.adj[2][1] = 10 ** 4300
+        with pytest.raises(ExportError, match="Exceeds the limit"):
+            export(graph, tmp_path / "g", graph.edge_triples())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicReplace:

@@ -30,6 +30,7 @@ JSON_FUNCTIONS = ("load", "loads", "dump", "dumps")
 TRANSFER_RULES = ("canonicalize_address", "transfer_record")
 REQUEST_RULES = ("RequestException", "status_code")
 PACING_CALLS = ("acquire", "delay")
+QUOTERS = ("encode_basestring", "encode_basestring_ascii")
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -124,6 +125,34 @@ def test_only_reply_catches_request_errors_and_reads_status_codes():
     assert {name: found for name, found in uses.items() if found} == {
         "ingestion/providers.py": {"_reply:RequestException",
                                    "_reply:status_code"}}
+
+
+def quoter_uses(path: Path) -> set[str]:
+    """The top-level def or class around each use of a json.encoder string
+    quoter in ``path``: by its name, as an attribute or by the name it is
+    imported as (the import itself is no use)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(QUOTERS) | {alias.asname for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)
+                            for alias in node.names
+                            if alias.name in QUOTERS and alias.asname}
+    uses = set()
+    for top in tree.body:
+        uses.update(getattr(top, "name", "<module>") for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in QUOTERS)
+    return uses
+
+
+def test_only_two_writers_render_json_by_hand():
+    # export_json and write_chunk quote strings themselves instead of calling
+    # json.dumps, and an oracle test holds each to json.dumps' bytes
+    # (test_formats.TestExportJsonOracle, test_ingestion's
+    # test_write_chunk_matches_json_dumps_and_reads_back)
+    uses = {path.relative_to(PACKAGE).as_posix(): quoter_uses(path)
+            for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {
+        "formats.py": {"export_json"}, "ingestion/chunks.py": {"write_chunk"}}
 
 
 def method_calls(path: Path, methods: tuple[str, ...]) -> set[str]:

@@ -972,16 +972,27 @@ NEAR_MISS_LINES = [
 def decoded(chunk_dir, chain):
     """What every reader must give for ``chunk_dir``: ``_decode_record`` of
     each non-blank line in file order, then the ParseError of the first line
-    it rejects, or None."""
+    it rejects, holds bytes that are not UTF-8 or a height outside its
+    file's span, or None."""
     records = []
     for path in list_chunk_files(chunk_dir):
-        with open(path, "r", encoding="utf-8") as fh:
+        first, last = chunks.parse_chunk_filename(path.name)
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        records.append(_decode_record(line, chain, path, line_no))
-                    except ParseError as exc:
-                        return records, exc
+                if re.search("[\udc80-\udcff]", line):
+                    return records, ParseError("bytes that are not UTF-8",
+                                               path=path, line=line_no)
+                if not line.strip():
+                    continue
+                try:
+                    record = _decode_record(line, chain, path, line_no)
+                except ParseError as exc:
+                    return records, exc
+                if not first <= record[0] <= last:
+                    return records, ParseError(
+                        f"block height {record[0]} is outside the file's span "
+                        f"{first}..{last}", path=path, line=line_no)
+                records.append(record)
     return records, None
 
 
@@ -1099,6 +1110,140 @@ class TestWrittenLineFastPath:
                               v=str(rng.randrange(10**rng.randint(1, 80))))
             (chunk_dir / chunk_filename(0, 9)).write_text(line + "\n")
             assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
+
+
+def written_lines(rng, chain, count=1000, first=0):
+    """``count`` (at most 1,000) lines as ``write_chunk`` writes them, for
+    blocks ``first``..``first + 199``."""
+    return [line_of(tx.block_height + first, tx.timestamp, tx.sender,
+                    tx.recipient, tx.amount)
+            for tx in oracles.random_transactions(rng, chain, address_count=40,
+                                                  count=count)]
+
+
+def moved_out_of_span(line):
+    fields = json.loads(line)
+    return line_of(fields["h"] + 200, fields["t"], fields["s"], fields["r"],
+                   fields["v"])
+
+
+# Changes to one line (index k) of a file in written shape; each makes the
+# file's slice holding it miss the pattern match.
+SPOILERS = {
+    "height-out-of-span": lambda lines, k: moved_out_of_span(lines[k]),
+    "json-spaced": lambda lines, k: json.dumps(json.loads(lines[k])) + "\n",
+    "blank": lambda lines, k: "\n" + lines[k],
+    "blank-spaces": lambda lines, k: lines[k] + " \t\n",
+}
+
+
+class TestSliceMatch:
+    """A slice of a file is matched at once only when every line is as
+    written and every height in its file's span; any other slice is read
+    line by line.  Both give the same records, graph and errors as
+    ``decoded``."""
+
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    @pytest.mark.parametrize("k", [0, 1, 617, 999])
+    @pytest.mark.parametrize("spoil", sorted(SPOILERS))
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+    def test_a_spoiled_line_reads_like_decode(self, tmp_path, capsys, monkeypatch,
+                                              chain, k, spoil, end):
+        lines = written_lines(random.Random(k), chain)
+        lines[k] = SPOILERS[spoil](lines, k)
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        (chunk_dir / chunk_filename(0, 199)).write_text("".join(lines)[:-1] + end)
+        read_by_line = []
+        lines_of = chunks._lines
+        monkeypatch.setattr(chunks, "_lines", lambda path, *rest: (
+            read_by_line.append(path.name), lines_of(path, *rest))[1])
+        assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
+        # _records, iter_chunk_transactions, fold_chunks and build
+        assert read_by_line == [chunk_filename(0, 199)] * 4
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r", "none"])
+    def test_line_endings_and_a_missing_final_newline(self, tmp_path, capsys,
+                                                      ending):
+        lines = written_lines(random.Random(7), ETH)
+        text = "".join(lines)
+        text = text[:-1] if ending == "none" else text.replace("\n", ending)
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        (chunk_dir / chunk_filename(0, 199)).write_bytes(text.encode())
+        assert_readers_match_decode(chunk_dir, ETH, tmp_path, capsys)
+
+    @pytest.mark.parametrize("k", [0, 500, 999])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"])
+    def test_bytes_that_are_not_utf8_on_line_k(self, tmp_path, capsys, k, bad):
+        lines = [line.encode() for line in written_lines(random.Random(k), ETH)]
+        lines[k] = lines[k].replace(b'"v":', b'"v":' + bad, 1)
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        (chunk_dir / chunk_filename(0, 199)).write_bytes(b"".join(lines))
+        assert_readers_match_decode(chunk_dir, ETH, tmp_path, capsys)
+        with pytest.raises(ParseError) as info:
+            fold_chunks(chunk_dir, ETH)
+        assert str(info.value).endswith(f"line {k + 1}: bytes that are not UTF-8")
+
+    @pytest.mark.parametrize("key", ['1Bo"at', "1Bo\\at", "1Bo\u00e9t", "1\x00x",
+                                     "1\x1bx", "1\U0001f600"])
+    def test_bitcoin_keys_outside_the_written_class(self, tmp_path, capsys, key):
+        lines = written_lines(random.Random(3), BTC)
+        records = [json.loads(line) for line in lines]
+        records[10]["s"] = records[400]["r"] = key
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        write_chunk(chunk_dir / chunk_filename(0, 199),
+                    [tuple(record[f] for f in "htsrv") for record in records])
+        assert_readers_match_decode(chunk_dir, BTC, tmp_path, capsys)
+        assert key in fold_chunks(chunk_dir, BTC).keys
+
+    @pytest.mark.parametrize("chain", [ETH, BTC])
+    @pytest.mark.parametrize("k", [0, 5, 617, 999])
+    @pytest.mark.parametrize("spoil", sorted(SPOILERS) + ["none"])
+    def test_only_the_spoiled_slice_is_read_line_by_line(self, tmp_path, capsys,
+                                                         monkeypatch, chain, k,
+                                                         spoil):
+        lines = written_lines(random.Random(k), chain)
+        if spoil != "none":
+            lines[k] = SPOILERS[spoil](lines, k)
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        (chunk_dir / chunk_filename(0, 199)).write_text("".join(lines))
+        monkeypatch.setattr(chunks, "_SLICE", 400)  # a few lines a slice
+        starts = []
+        lines_of = chunks._lines
+        monkeypatch.setattr(chunks, "_lines", lambda path, chain, lines, line_no,
+                            *rest: (starts.append((line_no, len(lines))),
+                                    lines_of(path, chain, lines, line_no, *rest))[1])
+        assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
+        if spoil == "none":
+            assert starts == []
+        else:
+            # one slice of a few lines, holding line k + 1 or the line after
+            # it that a spoiler adds, for each of the four readers
+            [(start, count)] = set(starts)
+            assert len(starts) == 4 and count < 10
+            assert start <= k + 2 and k + 1 < start + count
+
+    def test_only_the_spoiled_file_is_read_line_by_line(self, tmp_path, capsys,
+                                                        monkeypatch):
+        chunk_dir = tmp_path / "chunks"
+        chunk_dir.mkdir()
+        rng = random.Random(11)
+        for first in range(0, 1000, 200):
+            lines = written_lines(rng, ETH, 300, first)
+            if first == 400:
+                lines[5] = "\n" + lines[5]
+            (chunk_dir / chunk_filename(first, first + 199)).write_text(
+                "".join(lines))
+        read_by_line = []
+        lines_of = chunks._lines
+        monkeypatch.setattr(chunks, "_lines", lambda path, *rest: (
+            read_by_line.append(path.name), lines_of(path, *rest))[1])
+        assert_readers_match_decode(chunk_dir, ETH, tmp_path, capsys)
+        assert read_by_line == [chunk_filename(400, 599)] * 4
 
 
 def run_fixture_download(fixture, out_dir, chunk_size=3, worker_count=1,
@@ -1395,7 +1540,7 @@ def chunk_line_outcome(fields, chain):
     """The record the JSON path reads from ``fields`` as a chunk line, or the
     reason it gives for refusing it."""
     line = json.dumps(fields)  # spaces after separators: not the written shape
-    assert chunks._WRITTEN_LINE[chain](line) is None
+    assert chunks._WRITTEN[chain].fullmatch(line) is None
     try:
         return _decode_record(line, chain, None, None)
     except ParseError as exc:
@@ -1470,30 +1615,40 @@ class TestOneTransferCheck:
         assert list(written[0]) == [chunk_filename(0, 1), chunk_filename(2, 2)]
 
 
+class FakeStop:
+    """A stop event on a fake clock: ``wait`` runs its whole timeout unless
+    ``is_set``, then returns at once with True; ``waits`` lists its timeouts."""
+
+    def __init__(self):
+        self.clock = [0.0]
+        self.is_set = False
+        self.waits = []
+
+    def wait(self, seconds):
+        self.waits.append(seconds)
+        if not self.is_set:
+            self.clock[0] += seconds
+        return self.is_set
+
+
 class TestRateLimiting:
     def test_token_bucket_spaces_requests(self):
-        clock = [0.0]
-        sleeps = []
-
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            clock[0] += seconds
-
-        bucket = TokenBucket(rate=2.0, clock=lambda: clock[0], sleep=fake_sleep)
+        stop = FakeStop()
+        bucket = TokenBucket(rate=2.0, clock=lambda: stop.clock[0])
         for _ in range(4):
-            bucket.acquire()
+            bucket.acquire(stop)
         # burst capacity covers the first two; the next two wait half a second
-        assert sleeps == [0.5, 0.5]
+        assert stop.waits == [0.5, 0.5]
 
     def test_token_bucket_refills_with_time(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=2.0, clock=lambda: clock[0],
-                             sleep=lambda s: pytest.fail("slept"))
-        bucket.acquire()
-        bucket.acquire()
-        clock[0] += 1.0
-        bucket.acquire()
-        bucket.acquire()
+        stop = FakeStop()
+        bucket = TokenBucket(rate=2.0, clock=lambda: stop.clock[0])
+        bucket.acquire(stop)
+        bucket.acquire(stop)
+        stop.clock[0] += 1.0
+        bucket.acquire(stop)
+        bucket.acquire(stop)
+        assert stop.waits == []
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -1506,25 +1661,72 @@ class TestRateLimiting:
             TokenBucket(rate)
 
     def test_one_request_a_day_waits_a_day(self):
-        clock = [0.0]
-        sleeps = []
+        stop = FakeStop()
+        bucket = TokenBucket(rate=1 / 86400, clock=lambda: stop.clock[0])
+        bucket.acquire(stop)
+        bucket.acquire(stop)
+        assert stop.waits == [pytest.approx(86400)]
 
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            clock[0] += seconds
+    def test_a_stop_ends_a_token_wait(self):
+        stop = FakeStop()
+        bucket = TokenBucket(rate=2.0, clock=lambda: stop.clock[0])
+        bucket.acquire(stop)
+        bucket.acquire(stop)
+        assert stop.waits == []  # the burst needs no wait
+        bucket.acquire(stop)
+        assert stop.waits == [0.5]
+        stop.is_set = True
+        with pytest.raises(ProviderError, match="^stopped while waiting for a "
+                                                "rate-limit token$") as info:
+            bucket.acquire(stop)
+        assert not info.value.permanent
+        assert stop.waits == [0.5, 0.5]
+        stop.is_set = False
+        bucket.acquire(stop)  # the stopped wait took no token
+        assert stop.waits == [0.5, 0.5, 0.5]
 
-        bucket = TokenBucket(rate=1 / 86400, clock=lambda: clock[0],
-                             sleep=fake_sleep)
-        bucket.acquire()
-        bucket.acquire()
-        assert sleeps == [pytest.approx(86400)]
+    # At half a request a second, a token wait that ignored the stop would
+    # take 2 s: these tests would fail, not hang.
+    def test_retrying_provider_waits_for_a_token_on_its_stop(self):
+        inner = FlakyProvider()
+        stop = threading.Event()
+        provider = RetryingProvider(inner, bucket=TokenBucket(0.5), stop=stop)
+        provider.block_transactions(1)  # the one token of the burst
+        stop.set()
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match="rate-limit token") as info:
+            provider.block_transactions(2)
+        assert time.monotonic() - started < 1.0
+        assert not info.value.permanent
+        # the request waiting for a token is neither made nor counted
+        assert inner.calls == provider.request_attempts == 1
+
+    def test_a_stop_during_a_token_wait_leaves_the_chunk_pending(self, tmp_path):
+        make_fixture(tmp_path / "fx")
+        stop = threading.Event()
+        provider = RetryingProvider(
+            StopAfterBlocks(FixtureProvider(tmp_path / "fx"), stop, after=1),
+            bucket=TokenBucket(0.5), stop=stop)
+        checkpoint = Checkpoint(ETH, 0, 9, 2)
+        started = time.monotonic()
+        summary = run_download(plan_tasks(BlockRange(0, 9), 2, checkpoint),
+                               provider, checkpoint, chunk_dir=tmp_path / "chunks",
+                               checkpoint_path=tmp_path / "checkpoint.json",
+                               stop_event=stop)
+        assert time.monotonic() - started < 1.0
+        # block 0 took the burst's token; block 1 waited for one when the
+        # stop came, so chunk 0-1 is given up and stays pending
+        assert summary.interrupted
+        assert checkpoint.done == set()
+        assert list_chunk_files(tmp_path / "chunks") == []
+        assert provider.request_attempts == 1  # block 1 was never asked for
 
     def test_retrying_provider_takes_a_token_per_attempt(self):
         class CountingBucket:
             def __init__(self):
                 self.acquired = 0
 
-            def acquire(self):
+            def acquire(self, stop):
                 self.acquired += 1
 
         bucket = CountingBucket()

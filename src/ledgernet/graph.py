@@ -7,7 +7,9 @@ The graph is undirected and simple.  Every transaction between two distinct
 accounts contributes to exactly one edge; repeat transactions on the same
 pair add to that edge's transfer total instead of adding parallel edges.
 Directed activity (how many transactions a node sent or received) is kept in
-per-node counters, separate from the undirected structure.
+per-node counters, separate from the undirected structure.  One method,
+``InteractionGraph.fold``, applies this rule to transfers, for chunk files
+and ``Transaction`` streams alike.
 
 Edges live in one store: ``adj[a]`` maps each neighbour ``b`` to the pair's
 total amount, an ``int`` that both ends hold (``adj[a][b] == adj[b][a]``).
@@ -168,6 +170,28 @@ class InteractionGraph:
             raise LookupError(f"node {node} not in graph")
         return len(self.adj[node])
 
+    def fold(self, records: Iterable[tuple]) -> None:
+        """Apply transfers ``(height, timestamp, sender, recipient, amount)``
+        in order (``Record``'s shape; height and timestamp are ignored).
+
+        Keys must be canonical.  A sender of None or "" means there is none.
+        The amount goes through ``int()``, so it may be an ``int`` or its
+        decimal string.  Each endpoint is interned on first sight, sender
+        before recipient, and its counter raised.  A transfer without a
+        sender, or to its own sender, adds no edge; any other adds its amount
+        to the pair's one edge.
+        """
+        get, intern, adj = self._ids.get, self.intern_node, self.adj
+        in_tx, out_tx = self.in_tx, self.out_tx
+        for _, _, s, r, v in records:
+            a = s and (get(s) or intern(s))
+            b = get(r) or intern(r)
+            in_tx[b] += 1
+            if a:
+                out_tx[a] += 1
+                if a != b:
+                    adj[a][b] = adj[b][a] = adj[a].get(b, 0) + int(v)
+
     def record_edge(self, a: int, b: int, amount: int = 0, tx_count: int = 0) -> None:
         """Add the unordered edge {a, b} or fold more volume into it.
         ``tx_count`` is accepted and ignored: edges keep no transaction count."""
@@ -185,29 +209,6 @@ class InteractionGraph:
         row[b] = self.adj[b][a] = amount
         return True
 
-    def add_transaction(self, tx: Transaction) -> None:
-        """Apply one transaction (see ``add_transfer``)."""
-        self.add_transfer(tx.sender, tx.recipient, tx.amount)
-
-    def add_transfer(self, sender: str | None, recipient: str, amount: int) -> None:
-        """Apply one transfer between canonical keys: register endpoints,
-        update counters and edge.
-
-        The sender is interned first, matching the sender-recipient reading
-        order of the raw triples.  Self-transfers and senderless transfers
-        register nodes and bump counters but contribute no edge, keeping the
-        graph simple.
-        """
-        if sender is None:
-            self.in_tx[self.intern_node(recipient)] += 1
-            return
-        source = self.intern_node(sender)
-        target = self.intern_node(recipient)
-        self.out_tx[source] += 1
-        self.in_tx[target] += 1
-        if source != target:
-            self.record_edge(source, target, amount)
-
     def node_keys(self) -> list[str]:
         """Canonical keys in ID order."""
         return self.keys[1:]
@@ -222,6 +223,6 @@ def build_graph(transactions: Iterable[Transaction],
                 chain: Chain | str | None = None) -> InteractionGraph:
     """Fold a transaction stream into a fresh interaction graph."""
     graph = InteractionGraph(chain)
-    for tx in transactions:
-        graph.add_transaction(tx)
+    graph.fold((tx.block_height, tx.timestamp, tx.sender, tx.recipient, tx.amount)
+               for tx in transactions)
     return graph

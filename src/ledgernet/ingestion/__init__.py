@@ -18,7 +18,6 @@ _MODULE_OF = {
     **dict.fromkeys([
         "BlockRange",
         "DownloadSummary",
-        "DownloadTask",
         "RetryPolicy",
         "RetryingProvider",
         "TimeInterval",

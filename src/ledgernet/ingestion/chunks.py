@@ -130,19 +130,14 @@ def _lines(path: Path, chain: Chain, lines: list[str], line_no: int,
             yield record
 
 
-def _records(files: list[Path], chain: Chain | str) -> Iterator[Record]:
-    """``(height, timestamp, sender, recipient, amount)`` of every line of
-    ``files`` (sorted by span) in order; overlapping files, a bad line and a
-    record outside its file's block span raise ParseError."""
-    for h, t, s, r, v in _rows(files, Chain(chain)):
-        yield int(h), int(t), s or None, r, int(v)
-
-
 def _rows(files: list[Path], chain: Chain) -> Iterator[tuple]:
-    """``_records``' ``(h, t, s, r, v)``, ``_SLICE`` characters of lines at a
-    time: one match's strings (``s`` "" for null) if every line of the slice
-    is as written and every height in its file's span, else ``_lines``'
-    records; ``int`` and ``or`` read both alike."""
+    """``(height, timestamp, sender, recipient, amount)`` of every line of
+    ``files`` (sorted by span) in order, ``_SLICE`` characters of lines at a
+    time: one match's strings (sender "" for null) if every line of the
+    slice is as written and every height in its file's span, else
+    ``_lines``' records; ``int`` and ``or`` read both alike.  Overlapping
+    files, a bad line and a record outside its file's span raise
+    ParseError."""
     findall = _WRITTEN[chain].findall
     for path in _disjoint(files):
         first, last = parse_chunk_filename(path.name)
@@ -162,17 +157,19 @@ def iter_chunk_transactions(chunk_dir, chain: Chain | str) -> Iterator[Transacti
     """Stream every downloaded transaction in block order, one chunk at a
     time; chunk files that overlap or a record outside its file's block span
     raise ParseError."""
-    for h, t, s, r, v in _records(list_chunk_files(chunk_dir), chain):
-        yield Transaction(s, r, v, h, t)
+    for h, t, s, r, v in _rows(list_chunk_files(chunk_dir), Chain(chain)):
+        yield Transaction(s or None, r, int(v), int(h), int(t))
 
 
 def fold_chunks(chunk_dir, chain: Chain | str,
                 checkpoint: Checkpoint | None = None) -> InteractionGraph:
-    """``build_graph(iter_chunk_transactions(chunk_dir, chain), chain)``
-    without ``Transaction`` objects.  With a checkpoint, ``chain`` must be
-    its chain, every chunk file must be a chunk of its plan and every done
-    chunk must have its file; only done chunks are folded.  Without one,
-    chunk files must not overlap.
+    """The graph of ``iter_chunk_transactions(chunk_dir, chain)``, as
+    ``build_graph`` folds it, by one ``InteractionGraph.fold`` of the rows
+    read, without ``Transaction`` objects.  With a checkpoint, ``chain``
+    must be its chain, every chunk file must be a chunk of its plan and
+    every done chunk must have its file; only done chunks are folded, and
+    the checks cost time in the files and done chunks, not in the plan.
+    Without one, chunk files must not overlap.
     """
     chain = Chain(chain)
     if checkpoint is not None and checkpoint.chain is not chain:
@@ -180,27 +177,20 @@ def fold_chunks(chunk_dir, chain: Chain | str,
                               f"not {chain.value}")
     files = list_chunk_files(chunk_dir)
     if checkpoint is not None:
-        plan = {chunk_filename(first, min(first + checkpoint.chunk_size - 1,
-                                          checkpoint.last)): first in checkpoint.done
-                for first in checkpoint.planned_firsts()}
-        present = {path.name for path in files}
-        stray = [path for path in files if path.name not in plan]
-        missing = [name for name, done in plan.items() if done and name not in present]
-        if stray:
-            raise CheckpointError(f"{stray[0]} is not a chunk of the checkpoint's plan")
+        def planned_name(first: int) -> str:
+            return chunk_filename(first, min(first + checkpoint.chunk_size - 1,
+                                             checkpoint.last))
+
+        firsts = {path: parse_chunk_filename(path.name)[0] for path in files}
+        for path, first in firsts.items():
+            if (first not in checkpoint.planned_firsts()
+                    or path.name != planned_name(first)):
+                raise CheckpointError(f"{path} is not a chunk of the checkpoint's plan")
+        missing = checkpoint.done.difference(firsts.values())
         if missing:
-            raise CheckpointError(f"chunk {missing[0]} is marked done in the "
-                                  f"checkpoint but missing from {chunk_dir}")
-        files = [path for path in files if plan[path.name]]
+            raise CheckpointError(f"chunk {planned_name(min(missing))} is marked done "
+                                  f"in the checkpoint but missing from {chunk_dir}")
+        files = [path for path in files if firsts[path] in checkpoint.done]
     graph = InteractionGraph(chain)
-    get, intern, adj = graph._ids.get, graph.intern_node, graph.adj
-    in_tx, out_tx = graph.in_tx, graph.out_tx
-    for _, _, s, r, v in _rows(files, chain):
-        a = s and (get(s) or intern(s))
-        b = get(r) or intern(r)
-        in_tx[b] += 1
-        if a:
-            out_tx[a] += 1
-            if a != b:
-                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + int(v)
+    graph.fold(_rows(files, chain))
     return graph

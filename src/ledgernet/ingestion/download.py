@@ -64,14 +64,6 @@ class BlockRange:
             raise ValueError(f"bad block range {self.first}..{self.last}")
 
 
-@dataclass
-class DownloadTask:
-    """One chunk of contiguous blocks to fetch."""
-
-    first: int
-    last: int
-
-
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.1
 MAX_BACKOFF = 60.0
@@ -225,8 +217,8 @@ def resolve_block_range(interval: TimeInterval,
 
 def plan_tasks(block_range: BlockRange, chunk_size: int,
                checkpoint: Checkpoint | None = None, *,
-               chain: Chain | str | None = None) -> list[DownloadTask]:
-    """Partition the range into chunk tasks, minus already-done chunks."""
+               chain: Chain | str | None = None) -> list[BlockRange]:
+    """Partition the range into chunks, minus already-done chunks."""
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     done: set[int] = set()
@@ -235,7 +227,7 @@ def plan_tasks(block_range: BlockRange, chunk_size: int,
                                   block_range.first, block_range.last, chunk_size)
         done = checkpoint.done
     return [
-        DownloadTask(first, min(first + chunk_size - 1, block_range.last))
+        BlockRange(first, min(first + chunk_size - 1, block_range.last))
         for first in range(block_range.first, block_range.last + 1, chunk_size)
         if first not in done
     ]
@@ -251,7 +243,7 @@ class DownloadSummary:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
+def run_download(tasks: Iterable[BlockRange], provider: BlockProvider,
                  checkpoint: Checkpoint, *, chunk_dir, checkpoint_path,
                  worker_count: int = 1,
                  stop_event: threading.Event | None = None) -> DownloadSummary:
@@ -275,7 +267,7 @@ def run_download(tasks: Iterable[DownloadTask], provider: BlockProvider,
     summary = DownloadSummary(checkpoint_saves=1)
     started = time.perf_counter()
 
-    def fetch_chunk(task: DownloadTask):
+    def fetch_chunk(task: BlockRange):
         if stop_event.is_set():
             return task, None, 0
         records: list[Record] = []

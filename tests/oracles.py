@@ -138,6 +138,26 @@ def recount_degrees(transactions) -> tuple[dict[str, int], dict[str, int]]:
     return in_counts, out_counts
 
 
+def reference_fold(records, chain=None) -> InteractionGraph:
+    """``InteractionGraph.fold`` one transfer at a time, as the per-transfer
+    method it replaced did: a row's sender "" is None and its amount goes
+    through ``int``; the sender is interned before the recipient, both
+    counters move, and only a transfer between two accounts adds to an
+    edge."""
+    graph = InteractionGraph(chain)
+    for _, _, sender, recipient, amount in records:
+        if not sender:
+            graph.in_tx[graph.intern_node(recipient)] += 1
+            continue
+        source = graph.intern_node(sender)
+        target = graph.intern_node(recipient)
+        graph.out_tx[source] += 1
+        graph.in_tx[target] += 1
+        if source != target:
+            graph.record_edge(source, target, int(amount))
+    return graph
+
+
 # -- graph builders ---------------------------------------------------------
 
 def graph_from_edges(n: int, pairs) -> InteractionGraph:

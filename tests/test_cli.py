@@ -629,6 +629,23 @@ class TestBuild:
         assert "partial graph" in capsys.readouterr().err
         assert (out / "graph.json").exists()
 
+    def test_checkpoint_with_a_huge_plan_builds_in_time(self, tmp_path):
+        # the plan checks cost time in the files and done chunks, not in
+        # the hundred billion planned chunks
+        out = tmp_path / "out"
+        (out / "chunks").mkdir(parents=True)
+        (out / "checkpoint.json").write_text(
+            '{"version":1,"chain":"ethereum","first":0,"last":100000000000,'
+            '"chunk_size":1,"done":[]}')
+        result = subprocess.run(
+            [sys.executable, "-m", "ledgernet", "build", "--output-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=5)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ("warning: download is incomplete "
+                                 "(0/100000000001 chunks); building a partial graph\n")
+        assert read_json(out / "graph.json")["vertices"] == []
+
     def test_chain_other_than_the_checkpoint_exits_2(self, fixture_dir, tmp_path,
                                                      capsys):
         out = tmp_path / "out"

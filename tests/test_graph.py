@@ -153,9 +153,10 @@ class TestTransaction:
 
 
 class TestAddTransaction:
+    """Transactions folded by ``build_graph``, one ``InteractionGraph.fold``."""
+
     def test_single_insertion(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A, B, 5))
+        g = build_graph([tx(A, B, 5)], Chain.ETHEREUM)
         assert g.node_count == 2
         assert g.edge_count == 1
         a, b = g.keys.index(eth(A)), g.keys.index(eth(B))
@@ -164,51 +165,93 @@ class TestAddTransaction:
         assert g.in_tx[b] == 1 and g.out_tx[b] == 0
 
     def test_duplicate_pair_folds_into_one_edge(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A, B, 5))
-        g.add_transaction(tx(A, B, 3))
+        g = build_graph([tx(A, B, 5), tx(A, B, 3)], Chain.ETHEREUM)
         assert g.edge_count == 1
         assert g.edges[(1, 2)] == 8
         assert g.out_tx[1] == 2
 
     def test_self_transfer_counts_but_adds_no_edge(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A, B, 5))
-        g.add_transaction(tx(A, B, 3))
-        g.add_transaction(tx(A, A, 1))
+        g = build_graph([tx(A, B, 5), tx(A, B, 3), tx(A, A, 1)], Chain.ETHEREUM)
         assert g.node_count == 2
         assert g.edge_count == 1
         assert g.out_tx[1] == 3
         assert g.in_tx[1] == 1
 
     def test_reverse_direction_shares_the_edge(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A, B, 5))
-        g.add_transaction(tx(B, A, 2))
+        g = build_graph([tx(A, B, 5), tx(B, A, 2)], Chain.ETHEREUM)
         assert g.edge_count == 1
         assert g.edges[(1, 2)] == 7
 
     def test_senderless_registers_recipient_only(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(None, C, 50))
+        g = build_graph([tx(None, C, 50)], Chain.ETHEREUM)
         assert g.node_count == 1
         assert g.edge_count == 0
         assert g.in_tx[1] == 1 and g.out_tx[1] == 0
 
     def test_ids_follow_first_seen_order(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A, B))
-        g.add_transaction(tx(C, A))
+        g = build_graph([tx(A, B), tx(C, A)], Chain.ETHEREUM)
         assert g.keys.index(eth(A)) == 1
         assert g.keys.index(eth(B)) == 2
         assert g.keys.index(eth(C)) == 3
 
     def test_mixed_case_addresses_share_one_node(self):
-        g = InteractionGraph(Chain.ETHEREUM)
-        g.add_transaction(tx(A.upper().replace("0X", "0x"), B))
-        g.add_transaction(tx(A, C))
+        g = build_graph([tx(A.upper().replace("0X", "0x"), B), tx(A, C)],
+                        Chain.ETHEREUM)
         assert g.node_count == 3
         assert g.degree(1) == 2
+
+
+def random_rows(rng):
+    """Transfers as chunk files hand them to ``fold``: int records mixed with
+    the matched strings of written lines (sender "" for null, the amount in
+    decimal), among them senderless, self, repeated and reversed ones."""
+    keys = [oracles.random_address(rng) for _ in range(rng.randrange(1, 12))]
+    pairs, rows = [], []
+    for _ in range(rng.randrange(200)):
+        roll = rng.random()
+        if pairs and roll < 0.3:
+            sender, recipient = rng.choice(pairs)[::rng.choice([1, -1])]
+        else:
+            recipient = rng.choice(keys)
+            sender = (None if roll < 0.4 else recipient if roll < 0.5
+                      else rng.choice(keys))
+            if sender is not None:
+                pairs.append((sender, recipient))
+        height = rng.randrange(100)
+        amount = rng.randrange(rng.choice([2, 2**64, 10**78]))
+        if rng.random() < 0.5:
+            rows.append((str(height), str(1000 + height), sender or "", recipient,
+                         str(amount)))
+        else:
+            rows.append((height, 1000 + height, sender, recipient, amount))
+    return rows
+
+
+def fold_state(graph):
+    return (graph.keys, list(graph._ids.items()),
+            [list(row.items()) for row in graph.adj], graph.in_tx, graph.out_tx)
+
+
+class TestFold:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_reference_fold(self, seed):
+        rng = random.Random(seed)
+        rows = random_rows(rng)
+        graph = InteractionGraph(Chain.ETHEREUM)
+        split = rng.randrange(len(rows) + 1)  # a fold adds to the graph it is given
+        graph.fold(iter(rows[:split]))
+        graph.fold(iter(rows[split:]))
+        assert fold_state(graph) == \
+            fold_state(oracles.reference_fold(rows, Chain.ETHEREUM))
+
+    def test_rows_cover_every_kind_of_transfer(self):
+        rows = [row for seed in range(40) for row in random_rows(random.Random(seed))]
+        assert {type(row[4]) for row in rows} == {int, str}
+        assert {row[2] for row in rows} >= {None, ""}
+        assert any(row[2] == row[3] for row in rows)
+        pairs = [(row[2], row[3]) for row in rows if row[2] and row[2] != row[3]]
+        assert len(set(pairs)) < len(pairs)
+        assert any((b, a) in set(pairs) for a, b in pairs)
 
 
 class TestInteractionGraph:
@@ -280,7 +323,7 @@ def from_transfers(rng, tmp_path):
         sender = None if rng.random() < 0.1 else rng.choice(keys)
         recipient = rng.choice(keys)
         amount = random_amount(rng)
-        graph.add_transfer(sender, recipient, amount)
+        graph.fold([(0, 0, sender, recipient, amount)])
         for key in (sender, recipient):
             if key is not None:
                 ids.setdefault(key, len(ids) + 1)
@@ -390,8 +433,8 @@ class TestOneStore:
 
         def build():
             graph = InteractionGraph(Chain.ETHEREUM)
-            for sender, recipient, amount in transfers:
-                graph.add_transfer(sender, recipient, amount)
+            graph.fold((0, 0, sender, recipient, amount)
+                       for sender, recipient, amount in transfers)
             assert graph.edge_count > 11_000
             return graph
 

@@ -7,9 +7,10 @@ there only costs time.  Downloads wait on the network, so their threads pay.
 JSON goes through ``formats``, so every input, network replies too, is read
 as strict JSON and every output replaced atomically in one place.  A
 transfer is checked and its keys canonicalized by ``graph.transfer_record``,
-called only where provider records and chunk lines enter.  A network
-request is sent, and its failure classified, by ``providers._reply`` alone,
-and paced and retried by ``download.RetryingProvider`` alone.
+called only where provider records and chunk lines enter, and folded into
+a graph by ``InteractionGraph.fold`` alone.  A network request is sent, and
+its failure classified, by ``providers._reply`` alone, and paced and retried
+by ``download.RetryingProvider`` alone.
 """
 
 import ast
@@ -31,6 +32,9 @@ TRANSFER_RULES = ("canonicalize_address", "transfer_record")
 REQUEST_RULES = ("RequestException", "status_code")
 PACING_CALLS = ("acquire", "delay")
 QUOTERS = ("encode_basestring", "encode_basestring_ascii")
+# What a graph's fold writes into, by the name it is reached by: the activity
+# counters, and the edge store whose subscripts are the edge rows
+FOLD_TARGETS = {"in_tx": "counter", "out_tx": "counter", "adj": "store"}
 
 
 def pool_imports(path: Path) -> list[str]:
@@ -177,6 +181,145 @@ def test_only_the_retrying_provider_takes_tokens_and_backoff_delays():
     assert {name: found for name, found in calls.items() if found} == {
         "ingestion/download.py": {"RetryingProvider:acquire",
                                   "RetryingProvider:delay"}}
+
+
+def _fold_kind(node, aliases: dict[str, str]) -> str | None:
+    """"counter", "store" or "row" if ``node`` reaches a fold target: by its
+    name, as an attribute, through an alias or as ``<store>[...]``."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, FOLD_TARGETS.get(node.id))
+    if isinstance(node, ast.Attribute):
+        return FOLD_TARGETS.get(node.attr)
+    if isinstance(node, ast.Subscript) and _fold_kind(node.value, aliases) == "store":
+        return "row"
+    return None
+
+
+def _bindings(top: ast.AST):
+    """``(target, value)`` of each name binding under ``top``: assignments,
+    tuples unpacked element by element, walruses and for loops, where a loop
+    over ``x`` or ``enumerate(x)`` binds an element of ``x``, a subscript."""
+    for node in ast.walk(top):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
+            pairs = [(node.target, node.value)]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            target, items = node.target, node.iter
+            if (isinstance(items, ast.Call) and isinstance(items.func, ast.Name)
+                    and items.func.id == "enumerate" and items.args
+                    and isinstance(target, ast.Tuple) and len(target.elts) == 2):
+                target, items = target.elts[1], items.args[0]
+            pairs = [(target, ast.Subscript(items, ast.Constant(0)))]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                    and len(target.elts) == len(value.elts)):
+                pairs += zip(target.elts, value.elts)
+            elif isinstance(target, ast.Name):
+                yield target.id, value
+
+
+def _owners(tree: ast.Module):
+    """``(owner, node)`` for each top-level statement, and for each method
+    as ``<class>.<method>``."""
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            yield getattr(top, "name", "<module>"), top
+            continue
+        for node in top.body:
+            method = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield f"{top.name}.{node.name}" if method else top.name, node
+
+
+def fold_writes(source: str) -> set[str]:
+    """The owner (see ``_owners``) of each assignment, plain or augmented,
+    into ``in_tx[...]``, ``out_tx[...]``, ``adj[...]`` or an edge row
+    ``adj[...][...]``, reached as an attribute (``graph.in_tx``), by that
+    name or through a local alias (``row = graph.adj[a]``)."""
+    writes = set()
+    for owner, top in _owners(ast.parse(source)):
+        bindings = list(_bindings(top))
+        aliases: dict[str, str] = {}
+        for _ in bindings:  # each round follows every alias chain one step
+            found = {name: kind for name, value in bindings
+                     if (kind := _fold_kind(value, aliases))}
+            if found == aliases:
+                break
+            aliases = found
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets += target.elts
+                elif isinstance(target, ast.Starred):
+                    targets.append(target.value)
+                elif (isinstance(target, ast.Subscript)
+                      and _fold_kind(target.value, aliases)):
+                    writes.add(owner)
+    return writes
+
+
+def test_only_graph_fold_and_two_edge_inserts_write_counters_or_edge_rows():
+    # the rule that turns transfers into counters and edges has one copy,
+    # InteractionGraph.fold; record_edge and insert_edge only write edges
+    writes = {path.relative_to(PACKAGE).as_posix(): fold_writes(
+        path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in writes.items() if found} == {
+        "graph.py": {"InteractionGraph.fold", "InteractionGraph.record_edge",
+                     "InteractionGraph.insert_edge"}}
+
+
+HAND_WRITTEN_FOLD = """
+def fold_chunks(rows, graph):
+    get, intern, adj = graph._ids.get, graph.intern_node, graph.adj
+    in_tx, out_tx = graph.in_tx, graph.out_tx
+    for _, _, s, r, v in rows:
+        a = s and (get(s) or intern(s))
+        b = get(r) or intern(r)
+        in_tx[b] += 1
+        if a:
+            out_tx[a] += 1
+            if a != b:
+                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + int(v)
+"""
+
+
+@pytest.mark.parametrize("source", [
+    HAND_WRITTEN_FOLD,
+    "def f(graph, b):\n    graph.in_tx[b] += 1",
+    "def f(graph, b):\n    graph.out_tx[b] = graph.out_tx[b] + 1",
+    "def f(graph, a, b):\n    graph.adj[a][b] = 5",
+    "def f(graph, a, b):\n    row = graph.adj[a]\n    row[b] = row.get(b, 0) + 5",
+    "def f(g, a, b):\n    store = g.adj\n    rows = store\n    rows[a][b] += 1",
+    "def f(g, b):\n    counts: list = g.in_tx\n    counts[b]: int = 1",
+    "def f(g, b):\n    x, (y, counts) = 1, (2, g.out_tx)\n    counts[b] += 1",
+    "def f(g):\n    for row in g.adj:\n        row[0] = 1",
+    "def f(g):\n    for a, row in enumerate(g.adj):\n        row[a], c = 1, 2",
+    "def f(g, b):\n    if (counts := g.in_tx):\n        counts[b] += 1",
+    "class C:\n    def f(self, b):\n        self.in_tx[b] += 1",
+    "def f(graph, a):\n    graph.adj[a] = {}",
+])
+def test_the_fold_rule_sees_each_way_to_write_a_counter_or_edge_row(source):
+    assert fold_writes(source)
+
+
+@pytest.mark.parametrize("source", [
+    "def f(graph, a, b):\n    return graph.adj[a].get(b), graph.in_tx[b]",
+    "def f(graph, a, b):\n    graph.adj[a].add(b)",
+    "def f(graph):\n    graph.adj = [{}]\n    graph.in_tx = [0]",
+    "def f(graph, a, b):\n    seen = {}\n    seen[graph.adj[a][b]] = 1",
+])
+def test_the_fold_rule_passes_reads_calls_and_rebinding(source):
+    assert fold_writes(source) == set()
 
 
 def test_no_json_method_call_bypasses_formats():

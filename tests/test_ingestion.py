@@ -45,7 +45,7 @@ from ledgernet.ingestion import (
     run_download,
 )
 from ledgernet.ingestion import chunks
-from ledgernet.ingestion.chunks import _decode_record, _records, write_chunk
+from ledgernet.ingestion.chunks import _decode_record, write_chunk
 from ledgernet.ingestion.providers import write_fixture_block, write_fixture_meta
 
 import oracles
@@ -280,7 +280,7 @@ class TestProviderKeys:
         for height in range(2):
             for record in fetch_block_transactions(provider, height):
                 assert record == (height, height, ADDR[0], ADDR[1], 3)
-                graph.add_transfer(*record[2:])
+                graph.fold([record])
         assert graph.node_keys() == [ADDR[0], ADDR[1]]
 
 
@@ -656,7 +656,8 @@ class TestChunkCodec:
         assert write_chunk(path, iter(records)) == len(records)
         assert path.read_bytes() == "".join(
             line_of(*record) for record in records).encode("ascii")
-        assert list(_records([path], chain)) == records
+        assert list(map(record_of, iter_chunk_transactions(tmp_path, chain))) \
+            == records
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_decode_rejects_malformed_lines(self, line):
@@ -1001,13 +1002,13 @@ def fault(exc):
 
 
 def assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys):
-    """``_records``, ``iter_chunk_transactions``, ``fold_chunks`` and the
-    ``build`` command give ``decoded``'s records, or its error."""
+    """``iter_chunk_transactions``, ``fold_chunks`` and the ``build``
+    command give ``decoded``'s records, or its error."""
     records, error = decoded(chunk_dir, chain)
     txs = [Transaction(s, r, v, h, t) for h, t, s, r, v in records]
     read = []
     with pytest.raises(ParseError) if error else contextlib.nullcontext() as info:
-        read.extend(_records(list_chunk_files(chunk_dir), chain))
+        read.extend(map(record_of, iter_chunk_transactions(chunk_dir, chain)))
     assert read == records
     assert [tuple(map(type, r)) for r in read] == [tuple(map(type, r)) for r in records]
     expected = build_graph(txs, chain)
@@ -1159,7 +1160,7 @@ class TestSliceMatch:
         monkeypatch.setattr(chunks, "_lines", lambda path, *rest: (
             read_by_line.append(path.name), lines_of(path, *rest))[1])
         assert_readers_match_decode(chunk_dir, chain, tmp_path, capsys)
-        # _records, iter_chunk_transactions, fold_chunks and build
+        # iter_chunk_transactions twice, fold_chunks and build
         assert read_by_line == [chunk_filename(0, 199)] * 4
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r", "none"])
